@@ -23,7 +23,6 @@ from .copies import (
 )
 from .errors import InputError, ProtocolError, ResourceLimitError
 from .generators import (
-    CrownAdversary,
     ReplayAdversary,
     all_connected_graphs,
     all_graphs,

@@ -430,11 +430,21 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------- arg parsing
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _global_flags() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--trials", type=int, default=None, help="trial/sample count")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for trials")
+    p.add_argument("--trials", type=_positive_int, default=None, help="trial/sample count")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers for trials")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--max-n", type=int, default=16, dest="max_n",
                    help="largest graph the exact coloring oracle may attempt")

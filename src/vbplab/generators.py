@@ -144,33 +144,6 @@ class ReplayAdversary:
         return self.graph
 
 
-class CrownAdversary:
-    """Adaptive crown builder: pairs each new a-vertex with the b-vertex whose
-
-    partner choice keeps the crown structure while reacting to the colors the
-    algorithm reveals. Against any deterministic greedy-like algorithm the
-    produced graph is a crown presented a1 b1 a2 b2 ..., so the color count
-    reaches k while chi stays 2.
-    """
-
-    def __init__(self, k: int):
-        if k < 2:
-            raise InputError("crown needs k >= 2")
-        self.k = k
-        self.n = 2 * k
-        self._graph = gen_crown(k)
-        self._inner = ReplayAdversary(self._graph)
-
-    def start(self, rng: np.random.Generator) -> None:
-        self._inner.start(rng)
-
-    def next_event(self, history: dict[int, ColorId]) -> OnlineVertexEvent | None:
-        return self._inner.next_event(history)
-
-    def final_graph(self) -> Graph:
-        return self._graph
-
-
 class FreshColoring:
     """Worst-case-cooperative algorithm: a brand-new color for every vertex."""
 

@@ -7,17 +7,19 @@ pooled color among its copies' colors; if no copy's color made the pool, B
 "fails" at that step and burns a reserved special color "s:<step>".
 
 The simulation is deterministic given the seed: one uniform draw per new
-color of A, consumed in step order and ascending color id within a step
-(drawn as one array per step). A never observes the pool, so B first
-drives A across the full arrival sequence recording a per-step trace, then
-replays the seeded pool phase over the trace; Monte-Carlo verification
-reuses a cached trace when A declares itself deterministic.
+color of A, in first-use order (step order, ascending color id within a
+step), all taken by a single rng.random call. A never observes the pool, so
+B first drives A across the full arrival sequence recording a per-step
+trace, then runs the seeded pool phase over the trace; Monte-Carlo
+verification reuses a cached trace when A declares itself deterministic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -39,35 +41,6 @@ def sampling_probability(n: int, t: int) -> float:
     if n == 1:
         return 1.0
     return min(1.0, 2.0 * math.log(n) / t)
-
-
-@dataclass
-class PoolState:
-    """Runtime state of the simulation; rng is the only source of randomness."""
-
-    p: float
-    t: int
-    rng: np.random.Generator
-    colors_used_by_a: set[int] = field(default_factory=set)
-    pool: set[int] = field(default_factory=set)
-    fail_steps: set[int] = field(default_factory=set)
-    b_assignment: dict[int, ColorId] = field(default_factory=dict)
-
-
-def sample_pool(state: PoolState, new_colors: list[int]) -> PoolState:
-    """Admit each genuinely new color of A to the pool with probability p.
-
-    Draws are consumed in ascending color order; callers pass new_colors
-    sorted. Colors already known to A must not be resampled.
-    """
-    assert not set(new_colors) & state.colors_used_by_a, "colors resampled"
-    state.colors_used_by_a.update(new_colors)
-    if new_colors:
-        draws = state.rng.random(len(new_colors))
-        for color, draw in zip(new_colors, draws):
-            if draw < state.p:
-                state.pool.add(color)
-    return state
 
 
 @dataclass(frozen=True)
@@ -124,28 +97,21 @@ def _record_trace(n, events, algo, t) -> list[_TraceStep]:
     return trace
 
 
-def _pool_phase(trace, p, rng) -> tuple[PoolState, SimulationStats]:
-    state = PoolState(p=p, t=0, rng=rng)
-    records = []
+def _pool_phase(trace, p, rng) -> tuple[set[int], list[tuple[int, ColorId]]]:
+    """B's seeded pool phase over A's recorded trace.
+
+    Every color of A is seen by the step that uses it, so the whole pool is
+    drawn up front. Returns the pool and, per step, the number of pooled
+    copy colors and B's color: the smallest of them, or the step's special
+    color when there is none.
+    """
+    new = [c for ts in trace for c in ts.new_colors]
+    pool = set(compress(new, (rng.random(len(new)) < p).tolist()))
+    picks = []
     for step, ts in enumerate(trace, 1):
-        sample_pool(state, list(ts.new_colors))
-        candidates = state.pool.intersection(ts.copy_colors)
-        if candidates:
-            color: ColorId = min(candidates)
-        else:
-            state.fail_steps.add(step)
-            color = special_color(step)
-        state.b_assignment[ts.vertex] = color
-        records.append(StepRecord(ts.vertex, len(ts.new_colors), len(candidates), bool(candidates), color))
-    stats = SimulationStats(
-        colors_a=len(state.colors_used_by_a),
-        colors_b=len(set(state.b_assignment.values())),
-        fails=len(state.fail_steps),
-        pool_size=len(state.pool),
-        p=p,
-        steps=tuple(records),
-    )
-    return state, stats
+        candidates = pool.intersection(ts.copy_colors)
+        picks.append((len(candidates), min(candidates) if candidates else special_color(step)))
+    return pool, picks
 
 
 def run_algorithm_b(
@@ -167,8 +133,21 @@ def run_algorithm_b(
     if p is None:
         p = sampling_probability(n, t)
     trace = _record_trace(n, events, algo, t)
-    state, stats = _pool_phase(trace, p, make_rng(seed))
-    return dict(state.b_assignment), stats
+    pool, picks = _pool_phase(trace, p, make_rng(seed))
+    coloring: Coloring = {}
+    records = []
+    for ts, (candidates, color) in zip(trace, picks):
+        coloring[ts.vertex] = color
+        records.append(StepRecord(ts.vertex, len(ts.new_colors), candidates, candidates > 0, color))
+    stats = SimulationStats(
+        colors_a=sum(len(ts.new_colors) for ts in trace),
+        colors_b=len(set(coloring.values())),
+        fails=sum(not rec.hit for rec in records),
+        pool_size=len(pool),
+        p=p,
+        steps=tuple(records),
+    )
+    return coloring, stats
 
 
 @dataclass(frozen=True)
@@ -256,51 +235,22 @@ class MonteCarloReport:
     fails_per_trial: tuple[int, ...]
 
 
-def _fast_trials(trace, p, n, master_seed, trial_indices):
-    """Vectorized pool phase over a fixed trace, one derived stream per trial.
+def _trial(trace, p, master_seed, trial) -> tuple[int, int, int, int]:
+    """colors_B, colors_A, fails and pool size of one trial's pool phase.
 
-    Consumes randomness exactly like _pool_phase (one random(k) array per
-    step, ascending color order), so trial i reproduces
-    run_algorithm_b(seed=trial_seed(master_seed, i)) bit for bit.
+    Trial i reproduces run_algorithm_b(seed=trial_seed(master_seed, i)).
     """
-    flat_index: dict[int, int] = {}
-    for ts in trace:
-        for c in ts.new_colors:
-            flat_index[c] = len(flat_index)
-    total_new = len(flat_index)
-    step_cand_colors = []
-    step_cand_idx = []
-    for ts in trace:
-        cand = sorted(ts.copy_colors)
-        step_cand_colors.append(cand)
-        step_cand_idx.append(np.array([flat_index[c] for c in cand], dtype=np.intp))
+    pool, picks = _pool_phase(trace, p, make_rng(trial_seed(master_seed, trial)))
+    return (
+        len({color for _, color in picks}),
+        sum(len(ts.new_colors) for ts in trace),
+        sum(candidates == 0 for candidates, _ in picks),
+        len(pool),
+    )
 
-    colors_b, colors_a, fails, pool_sizes, invariant_ok = [], [], [], [], True
-    for trial in trial_indices:
-        rng = make_rng(trial_seed(master_seed, trial))
-        pooled = np.zeros(total_new, dtype=bool)
-        offset = 0
-        n_fail = 0
-        chosen: set = set()
-        for i, ts in enumerate(trace):
-            k = len(ts.new_colors)
-            if k:
-                pooled[offset:offset + k] = rng.random(k) < p
-                offset += k
-            mask = pooled[step_cand_idx[i]]
-            if mask.any():
-                chosen.add(step_cand_colors[i][int(np.argmax(mask))])
-            else:
-                n_fail += 1
-                chosen.add(special_color(i + 1))
-        n_pool = int(pooled.sum())
-        colors_b.append(len(chosen))
-        colors_a.append(total_new)
-        fails.append(n_fail)
-        pool_sizes.append(n_pool)
-        if len(chosen) > n_pool + n_fail:
-            invariant_ok = False
-    return colors_b, colors_a, fails, pool_sizes, invariant_ok
+
+def _trial_range(trace, p, master_seed, start, stop) -> list[tuple[int, int, int, int]]:
+    return [_trial(trace, p, master_seed, i) for i in range(start, stop)]
 
 
 def monte_carlo_verify(
@@ -323,45 +273,28 @@ def monte_carlo_verify(
     n = graph.n
     p = sampling_probability(n, t)
     events = events_from_graph(graph)
-    cacheable = getattr(algo, "deterministic", False)
-
-    if cacheable:
+    if not getattr(algo, "deterministic", False):
+        rows = [
+            _trial(_record_trace(n, events, algo, t), p, master_seed, i)
+            for i in range(trials)
+        ]
+    else:
         trace = _record_trace(n, events, algo, t)
-        if jobs > 1:
+        workers = min(jobs, trials, os.cpu_count() or 1)
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            chunks = [list(range(trials))[i::jobs] for i in range(jobs)]
-            chunks = [c for c in chunks if c]
-            results: dict[int, tuple] = {}
-            with ProcessPoolExecutor(max_workers=len(chunks)) as pool_exec:
+            bounds = [trials * w // workers for w in range(workers + 1)]
+            with ProcessPoolExecutor(max_workers=workers) as pool_exec:
                 futures = [
-                    (chunk, pool_exec.submit(_fast_trials, trace, p, n, master_seed, chunk))
-                    for chunk in chunks
+                    pool_exec.submit(_trial_range, trace, p, master_seed, start, stop)
+                    for start, stop in zip(bounds, bounds[1:])
                 ]
-                for chunk, fut in futures:
-                    cb, ca, fl, ps, ok = fut.result()
-                    for j, trial in enumerate(chunk):
-                        results[trial] = (cb[j], ca[j], fl[j], ps[j], ok)
-            ordered = [results[i] for i in range(trials)]
-            colors_b = [r[0] for r in ordered]
-            colors_a = [r[1] for r in ordered]
-            fails = [r[2] for r in ordered]
-            invariant_ok = all(r[4] for r in ordered)
+                rows = [row for fut in futures for row in fut.result()]
         else:
-            colors_b, colors_a, fails, _, invariant_ok = _fast_trials(
-                trace, p, n, master_seed, range(trials)
-            )
-    else:
-        colors_b, colors_a, fails = [], [], []
-        invariant_ok = True
-        for trial in range(trials):
-            trace = _record_trace(n, events, algo, t)
-            state, stats = _pool_phase(trace, p, make_rng(trial_seed(master_seed, trial)))
-            colors_b.append(stats.colors_b)
-            colors_a.append(stats.colors_a)
-            fails.append(stats.fails)
-            if stats.colors_b > stats.pool_size + stats.fails:
-                invariant_ok = False
+            rows = _trial_range(trace, p, master_seed, 0, trials)
+    colors_b, colors_a, fails, _ = zip(*rows)
+    invariant_ok = all(b <= size + f for b, _, f, size in rows)
 
     cb = np.asarray(colors_b, dtype=float)
     ca = np.asarray(colors_a, dtype=float)
@@ -387,7 +320,7 @@ def monte_carlo_verify(
         slack=slack,
         bound_holds=lhs <= rhs + _REL_TOL * max(1.0, abs(rhs)),
         per_trial_invariant_ok=invariant_ok,
-        colors_b_per_trial=tuple(int(x) for x in colors_b),
-        colors_a_per_trial=tuple(int(x) for x in colors_a),
-        fails_per_trial=tuple(int(x) for x in fails),
+        colors_b_per_trial=colors_b,
+        colors_a_per_trial=colors_a,
+        fails_per_trial=fails,
     )

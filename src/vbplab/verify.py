@@ -222,7 +222,8 @@ def check_first_fit_correspondence(
         count += 1
         inst = reduction(g)
         packing = first_fit_online(inst)
-        validate_packing(inst, packing)
+        if not validate_packing(inst, packing):
+            failures.append(f"FF packing infeasible on {_label(g)}")
         coloring = greedy_online_coloring(g)
         n_colors = len(set(coloring.values()))
         if packing.num_bins != n_colors:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from vbplab import cli
 from vbplab.cli import main
 
 
@@ -219,6 +220,24 @@ def test_run_byte_determinism(capsys):
 
 def test_no_subcommand_exits_2(capsys):
     assert main([]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "algorithm-b", "--family", "cycle", "--n", "5", "--t", "4", "--trials", "0"),
+        ("run", "algorithm-b", "--family", "cycle", "--n", "5", "--t", "4", "--trials", "-3"),
+        ("bench", "algorithm-b", "--family", "crown", "--k", "3", "--t", "4", "--jobs", "0"),
+    ],
+)
+def test_non_positive_counts_exit_2_before_any_work(monkeypatch, capsys, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran despite a bad count")
+
+    monkeypatch.setattr(cli, "run_algorithm_b", no_work)
+    monkeypatch.setattr(cli, "monte_carlo_verify", no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "must be at least 1" in err
 
 
 def test_version_flag(capsys):

@@ -4,7 +4,6 @@ import pytest
 
 from vbplab.errors import InputError, ProtocolError
 from vbplab.generators import (
-    CrownAdversary,
     FreshColoring,
     ReplayAdversary,
     all_connected_graphs,
@@ -98,7 +97,7 @@ def test_replay_adversary_matches_offline_greedy():
 
 
 def test_crown_adversary_vs_greedy():
-    _, _, count = run_adversary(CrownAdversary(4), GreedyColoring(), 0)
+    _, _, count = run_adversary(ReplayAdversary(gen_crown(4)), GreedyColoring(), 0)
     assert count == 4
 
 

@@ -11,9 +11,9 @@ from vbplab.benchmark import _coloring_args, _packing_args
 from vbplab.generators import gen_crown, gen_gnp
 from vbplab.rng import trial_seed
 
-compiled = pytest.importorskip(
-    "vbplab._exactcore", reason="compiled extension not built"
-)
+
+def compiled_backend():
+    return pytest.importorskip("vbplab._exactcore", reason="compiled extension not built")
 
 
 def coloring_cases():
@@ -28,6 +28,7 @@ def packing_cases():
 
 
 def test_chromatic_parity_with_witness():
+    compiled = compiled_backend()
     for adj, lb, incumbent in coloring_cases():
         pure = _exactcore_py.chromatic_bnb(adj, lb, list(incumbent))
         fast = compiled.chromatic_bnb(adj, lb, list(incumbent))
@@ -36,6 +37,7 @@ def test_chromatic_parity_with_witness():
 
 
 def test_packing_parity_with_witness():
+    compiled = compiled_backend()
     for items, cap, lb, incumbent in packing_cases():
         pure = _exactcore_py.packing_bnb(items, cap, lb, list(incumbent))
         fast = compiled.packing_bnb(items, cap, lb, list(incumbent))
@@ -48,6 +50,7 @@ def test_packing_parity_with_witness():
     reason="compiled backend disabled by override",
 )
 def test_selected_backend_is_compiled_here():
+    compiled_backend()
     assert kernels.BACKEND == "cython"
 
 

@@ -1,6 +1,8 @@
 """Pool-sampling simulation: determinism, feasibility, accounting bounds."""
 
+import concurrent.futures
 import math
+import os
 
 import pytest
 
@@ -9,16 +11,14 @@ from vbplab.errors import InputError, ProtocolError
 from vbplab.generators import gen_crown, gen_cycle, gen_gnp
 from vbplab.graphs import events_from_graph, validate_coloring
 from vbplab.pool import (
-    PoolState,
     expected_colors_bound,
     fail_probability_bound,
     monte_carlo_verify,
     run_algorithm_b,
-    sample_pool,
     sampling_probability,
     special_color,
 )
-from vbplab.rng import make_rng, trial_seed
+from vbplab.rng import trial_seed
 
 
 def run_on(graph, t, seed, p=None):
@@ -37,27 +37,6 @@ def test_sampling_probability():
     assert sampling_probability(10, t) == pytest.approx(2 * math.log(10) / t, rel=1e-15)
     with pytest.raises(InputError):
         sampling_probability(0, 5)
-
-
-# -------------------------------------------------------------- sample_pool
-
-
-def test_sample_pool_p1_takes_all():
-    state = PoolState(p=1.0, t=1, rng=make_rng(0))
-    sample_pool(state, [5, 7])
-    assert state.pool == {5, 7}
-
-
-def test_sample_pool_p0_takes_none():
-    state = PoolState(p=0.0, t=1, rng=make_rng(0))
-    sample_pool(state, [5, 7])
-    assert state.pool == set() and state.colors_used_by_a == {5, 7}
-
-
-def test_sample_pool_pinned_half():
-    state = PoolState(p=0.5, t=1, rng=make_rng(7))
-    sample_pool(state, list(range(10)))
-    assert sorted(state.pool) == [0, 1, 2, 3, 4, 6, 8]  # frozen from first run
 
 
 # ------------------------------------------------------------ algorithm  B
@@ -258,6 +237,39 @@ def test_monte_carlo_jobs_do_not_change_report():
     a = monte_carlo_verify(g, GreedyCcp(), 16, 30, 7, jobs=1)
     b = monte_carlo_verify(g, GreedyCcp(), 16, 30, 7, jobs=3)
     assert a == b
+
+
+def test_monte_carlo_workers_clamped_to_trials_and_cpus(monkeypatch):
+    # a stand-in executor runs the submitted ranges in this process and
+    # records the worker count it was asked for
+    started = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    g = gen_crown(3)
+    serial = monte_carlo_verify(g, GreedyCcp(), 16, 10, 7)
+    assert monte_carlo_verify(g, GreedyCcp(), 16, 10, 7, jobs=10**6) == serial
+    few = monte_carlo_verify(g, GreedyCcp(), 16, 3, 7, jobs=64)
+    assert few.colors_b_per_trial == serial.colors_b_per_trial[:3]
+    assert started == [4, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert monte_carlo_verify(g, GreedyCcp(), 16, 10, 7, jobs=8) == serial
+    assert started == [4, 3]  # unknown CPU count: trials run in this process
 
 
 def test_monte_carlo_crown_fail_rate():

@@ -1,11 +1,15 @@
 """Verification-suite behavior: green on honest code, red on sabotage."""
 
+from fractions import Fraction
+
 import pytest
 
+from vbplab import verify
 from vbplab.copies import CopiesInstance
 from vbplab.errors import InputError
 from vbplab.generators import gen_complete, gen_cycle, gen_path
 from vbplab.reductions import reduce_graph
+from vbplab.vbp import Bin, PackingState
 from vbplab.verify import (
     check_copies_reduction_equivalence,
     check_crown_gaps,
@@ -98,3 +102,18 @@ def test_fault_injection_heavy_back_edges():
     report = run_verification_suite(max_n=3, samples=5, seed=0, reduction=corrupted)
     failing = {r.name for r in report.results if not r.ok}
     assert "reduction-equivalence" in failing
+
+
+def test_first_fit_check_reports_infeasible_packing(monkeypatch):
+    # path 1-2-3: greedy uses 2 colors; packing the adjacent items 1 and 2
+    # together also uses 2 bins but overloads coordinate 1
+    def overloaded(inst):
+        def load(items):
+            return tuple(sum((inst.items[i][j] for i in items), Fraction(0)) for j in range(inst.d))
+
+        return PackingState(d=inst.d, bins=[Bin([0, 1], load([0, 1])), Bin([2], load([2]))])
+
+    monkeypatch.setattr(verify, "first_fit_online", overloaded)
+    result = check_first_fit_correspondence([gen_path(3)])
+    assert not result.ok
+    assert len(result.failures) == 1 and "infeasible" in result.failures[0]

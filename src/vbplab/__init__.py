@@ -4,8 +4,8 @@ Exact small-instance oracles (chromatic number, fractional chromatic
 number, optimal vector packing), the coloring -> packing reductions that
 tie them together, blow-up ("copies") colorings, the randomized
 pool-sampling simulation, adversarial generators, and a verification
-harness. Hot search kernels run compiled when the extension built; see
-vbplab.kernels.BACKEND.
+harness. Everything is pure Python; the branch-and-bound searches behind
+the exact oracles live in vbplab.kernels.
 """
 
 __version__ = "0.1.0"

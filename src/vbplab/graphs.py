@@ -315,21 +315,22 @@ def parse_instance_text(text: str) -> tuple[Graph, int | None]:
         if not line:
             continue
         parts = line.split()
+        # InputError is a ValueError: every message gets its line prefix here.
         try:
             if parts[0] == "g" and len(parts) == 3:
                 if n is not None:
-                    raise InputError(f"line {lineno}: duplicate 'g' header")
+                    raise InputError("duplicate 'g' header")
                 n, m = int(parts[1]), int(parts[2])
             elif parts[0] == "t" and len(parts) == 2:
                 if t is not None:
-                    raise InputError(f"line {lineno}: duplicate 't' header")
+                    raise InputError("duplicate 't' header")
                 t = int(parts[1])
                 if t < 1:
-                    raise InputError(f"line {lineno}: t must be >= 1")
+                    raise InputError("t must be >= 1")
             elif parts[0] == "e" and len(parts) == 3:
                 edges.append((int(parts[1]), int(parts[2])))
             else:
-                raise InputError(f"line {lineno}: unrecognized line {raw!r}")
+                raise InputError(f"unrecognized line {raw!r}")
         except ValueError as exc:
             raise InputError(f"line {lineno}: {exc}") from exc
     if n is None:

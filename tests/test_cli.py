@@ -187,13 +187,6 @@ def test_bench_algorithm_b(capsys):
     assert agg["fail_rate"] <= 2 / 8
 
 
-def test_bench_kernels(capsys):
-    code, out, _ = run_cli(capsys, "bench", "kernels", "--trials", "1")
-    assert code == 0
-    report = json.loads(out)
-    assert report["aggregates"]["all_agree"] is True
-
-
 def test_bench_byte_determinism(capsys):
     argv = [
         "bench", "first-fit", "--family", "gnp", "--n", "6",
@@ -228,14 +221,17 @@ def test_no_subcommand_exits_2(capsys):
         ("run", "algorithm-b", "--family", "cycle", "--n", "5", "--t", "4", "--trials", "0"),
         ("run", "algorithm-b", "--family", "cycle", "--n", "5", "--t", "4", "--trials", "-3"),
         ("bench", "algorithm-b", "--family", "crown", "--k", "3", "--t", "4", "--jobs", "0"),
+        ("gen", "cycle", "--n", "5", "--t", "-3"),
+        ("reduce", "in.graph", "--t", "0"),
+        ("run", "greedy-ccp", "--family", "cycle", "--n", "5", "--t", "0"),
     ],
 )
 def test_non_positive_counts_exit_2_before_any_work(monkeypatch, capsys, argv):
     def no_work(*args, **kwargs):
         raise AssertionError("ran despite a bad count")
 
-    monkeypatch.setattr(cli, "run_algorithm_b", no_work)
-    monkeypatch.setattr(cli, "monte_carlo_verify", no_work)
+    for name in ("run_algorithm_b", "monte_carlo_verify", "_build_family", "_read_text"):
+        monkeypatch.setattr(cli, name, no_work)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "must be at least 1" in err
 

@@ -227,6 +227,21 @@ def test_graph_text_rejects_garbage():
         parse_graph_text("g 3 1\nt 2\ne 1 2\n")  # t line not allowed here
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("g 3 0\ng 3 0\n", "line 2: duplicate 'g' header"),
+        ("g 3 0\nt 2\nt 2\n", "line 3: duplicate 't' header"),
+        ("g 3 0\nt 0\n", "line 2: t must be >= 1"),
+        ("g 3 0\nx 1\n", "line 2: unrecognized line 'x 1'"),
+    ],
+)
+def test_parse_errors_carry_one_line_prefix(text, message):
+    with pytest.raises(InputError) as info:
+        parse_instance_text(text)
+    assert str(info.value) == message
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 8),

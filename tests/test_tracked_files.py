@@ -1,0 +1,23 @@
+"""Repository hygiene: nothing git tracks is also ignored."""
+
+import shutil
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.skipif(
+    shutil.which("git") is None or not (ROOT / ".git").exists(),
+    reason="needs git and a git checkout",
+)
+def test_no_tracked_file_is_gitignored():
+    # Generated and leftover files (build outputs, test logs) are listed in
+    # .gitignore; a tracked one means it was committed by mistake.
+    out = subprocess.run(
+        ["git", "ls-files", "-ci", "--exclude-standard"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == ""

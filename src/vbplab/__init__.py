@@ -74,6 +74,7 @@ from .vbp import (
     competitive_gap,
     first_fit_online,
     fits,
+    lower_bound,
     make_instance,
     make_item,
     opt_exact,

@@ -49,6 +49,7 @@ from .vbp import (
     VbpInstance,
     first_fit_online,
     format_vbp_text,
+    lower_bound,
     opt_exact,
     parse_vbp_text,
 )
@@ -145,18 +146,14 @@ def _load_vbp(args) -> VbpInstance:
             "",
         )
         if first.split()[:1] == ["vbp"]:
+            if args.t is not None:
+                raise InputError("--t applies to graph and copies inputs, not to a vbp file")
             return parse_vbp_text(text)
         graph, file_t = parse_instance_text(text)
         t = args.t if args.t is not None else file_t
         return reduce_copies(CopiesInstance(graph, t)) if t else reduce_graph(graph)
     graph, t = _load_graph(args)
     return reduce_copies(CopiesInstance(graph, t)) if t else reduce_graph(graph)
-
-
-def _pack_lower_bound(inst: VbpInstance) -> int:
-    per_coord = [sum(item[j] for item in inst.items) for j in range(inst.d)]
-    heaviest = max(per_coord, default=Fraction(0))
-    return max(1, -(-heaviest.numerator // heaviest.denominator)) if inst.n else 0
 
 
 # ---------------------------------------------------------------- subcommands
@@ -220,7 +217,7 @@ def _run_first_fit(args, report: dict) -> int:
         agg["opt"] = opt
         agg["gap"] = _fmt(Fraction(bins, opt)) if opt else None
     else:
-        lower = _pack_lower_bound(inst)
+        lower = lower_bound(inst)
         agg["lower_bound"] = lower
         agg["gap_vs_lower"] = _fmt(Fraction(bins, lower)) if lower else None
     trials = args.trials or 1
@@ -334,7 +331,7 @@ def _bench_first_fit(args, report: dict) -> int:
             rec["opt"] = opt
             gap = Fraction(bins, opt) if opt else None
         else:
-            lower = _pack_lower_bound(inst)
+            lower = lower_bound(inst)
             rec["lower_bound"] = lower
             gap = Fraction(bins, lower) if lower else None
         rec["gap"] = _fmt(gap)

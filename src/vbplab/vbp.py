@@ -1,10 +1,13 @@
 """Vector bin packing with exact rational arithmetic.
 
 Items are d-dimensional vectors of Fractions in [0,1]; bins have unit
-capacity per coordinate. Everything that decides feasibility compares
-rationals exactly, so boundary sums like n * (1/n) land on 1, never on
-0.999... The exact optimum oracle scales an instance to integers and hands
-it to the branch-and-bound kernel.
+capacity per coordinate. Each instance also carries an exact integer view,
+computed once: every coordinate multiplied by `scale`, the lcm of all
+denominators, so a bin's capacity becomes `scale`. Fit tests, First-Fit,
+packing validation, the lower bound and the exact optimum all add plain
+ints on that view, so boundary sums like n * (1/n) land on the capacity
+exactly, never on 0.999... Fractions appear only at I/O and in reports
+(bin loads are converted back once per bin).
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -45,6 +49,21 @@ class VbpInstance:
     def n(self) -> int:
         return len(self.items)
 
+    @cached_property
+    def scale(self) -> int:
+        """Lcm of all coordinate denominators (1 with no items): the capacity of `scaled`."""
+        return math.lcm(*{c.denominator for item in self.items for c in item})
+
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, ...], ...]:
+        """The items as exact ints: coordinate c becomes c * scale."""
+        s = self.scale
+        return tuple(tuple([c.numerator * s // c.denominator for c in item]) for item in self.items)
+
+    def unscale(self, load: Sequence[int]) -> Vector:
+        """An integer load on the scaled view, back as Fractions of a unit bin."""
+        return tuple(Fraction(x, self.scale) for x in load)
+
 
 def make_instance(d: int, items: Iterable[Sequence]) -> VbpInstance:
     if d < 1:
@@ -65,15 +84,21 @@ def fits(load: Vector, item: Vector) -> bool:
     return all(l + c <= 1 for l, c in zip(load, item))
 
 
-def fits_together(items: Iterable[Vector], d: int) -> bool:
-    """True iff all given items can share one bin."""
-    total = [Fraction(0)] * d
-    for item in items:
-        if len(item) != d:
-            raise InputError("dimension mismatch")
-        for j, c in enumerate(item):
-            total[j] += c
-    return all(t <= 1 for t in total)
+def _column_sums(rows: Sequence[Sequence], d: int) -> list:
+    """Per-coordinate totals of the rows, in their own number type (zeros for no rows)."""
+    return [sum(column) for column in zip(*rows)] if rows else [0] * d
+
+
+def fits_together(items: Iterable[Sequence], d: int, capacity=1) -> bool:
+    """True iff all given items can share one bin of the given capacity.
+
+    Sums in whatever number type the items hold: Fraction items against the
+    unit capacity, or rows of `VbpInstance.scaled` against `scale`.
+    """
+    rows = list(items)
+    if any(len(item) != d for item in rows):
+        raise InputError("dimension mismatch")
+    return all(t <= capacity for t in _column_sums(rows, d))
 
 
 @dataclass
@@ -101,21 +126,28 @@ class PackingState:
 
 
 class FirstFitPacker:
-    """Online First-Fit: each item goes to the lowest-indexed bin it fits in."""
+    """Online First-Fit: each item goes to the lowest-indexed bin it fits in.
+
+    Loads are summed in the items' own number type against `capacity`:
+    Fraction vectors with the default unit capacity, or rows of
+    `VbpInstance.scaled` with capacity `scale`.
+    """
 
     deterministic = True
 
-    def start(self, d: int) -> None:
+    def start(self, d: int, capacity=1) -> None:
         if d < 1:
             raise InputError("dimension must be >= 1")
         self.d = d
-        self.loads: list[list[Fraction]] = []
+        self.capacity = capacity
+        self.loads: list[list] = []
 
-    def place(self, coords: Vector) -> int:
+    def place(self, coords: Sequence) -> int:
         if len(coords) != self.d:
             raise InputError("dimension mismatch")
+        capacity = self.capacity
         for b, load in enumerate(self.loads):
-            if all(l + c <= 1 for l, c in zip(load, coords)):
+            if all(l + c <= capacity for l, c in zip(load, coords)):
                 self.loads[b] = [l + c for l, c in zip(load, coords)]
                 return b
         self.loads.append(list(coords))
@@ -125,16 +157,16 @@ class FirstFitPacker:
 def first_fit_online(inst: VbpInstance) -> PackingState:
     """Deterministic First-Fit packing of the items in arrival order."""
     packer = FirstFitPacker()
-    packer.start(inst.d)
+    packer.start(inst.d, inst.scale)
     bins: list[list[int]] = []
-    for i, item in enumerate(inst.items):
+    for i, item in enumerate(inst.scaled):
         b = packer.place(item)
         if b == len(bins):
             bins.append([])
         bins[b].append(i)
     return PackingState(
         d=inst.d,
-        bins=[Bin(items=members, load=tuple(packer.loads[b])) for b, members in enumerate(bins)],
+        bins=[Bin(items=members, load=inst.unscale(packer.loads[b])) for b, members in enumerate(bins)],
     )
 
 
@@ -142,28 +174,39 @@ def validate_packing(inst: VbpInstance, packing: PackingState) -> bool:
     """Exact check: items partitioned, stored loads consistent, capacity held."""
     if packing.d != inst.d:
         return False
+    scaled = inst.scaled
     seen: set[int] = set()
     for bin_ in packing.bins:
-        total = [Fraction(0)] * inst.d
         for i in bin_.items:
             if i in seen or not 0 <= i < inst.n:
                 return False
             seen.add(i)
-            for j, c in enumerate(inst.items[i]):
-                total[j] += c
-        if tuple(total) != bin_.load:
+        total = _column_sums([scaled[i] for i in bin_.items], inst.d)
+        if inst.unscale(total) != tuple(bin_.load):
             return False
-        if any(t > 1 for t in total):
+        if any(t > inst.scale for t in total):
             return False
     return len(seen) == inst.n
+
+
+def lower_bound(inst: VbpInstance) -> int:
+    """Bins no packing can do without: the heaviest coordinate total, rounded up.
+
+    0 for an empty instance, otherwise at least 1.
+    """
+    if inst.n == 0:
+        return 0
+    heaviest = max(_column_sums(inst.scaled, inst.d))
+    return max(1, -(-heaviest // inst.scale))
 
 
 def opt_exact(inst: VbpInstance, limit: int = DEFAULT_EXACT_PACK_LIMIT) -> tuple[int, PackingState]:
     """Minimum bin count with a witness packing, by exact branch and bound.
 
-    Items are scaled by the lcm of all denominators so the kernel works on
-    integers. Search order: max coordinate then coordinate sum, both
-    descending, which also groups identical items for symmetry pruning.
+    The kernel works on the integer view (`scaled`, capacity `scale`).
+    Search order: max coordinate then coordinate sum, both descending,
+    which also groups identical items for symmetry pruning. First-Fit on
+    that order seeds the upper bound and `lower_bound` the lower one.
     """
     if inst.n > limit:
         raise ResourceLimitError(
@@ -172,32 +215,18 @@ def opt_exact(inst: VbpInstance, limit: int = DEFAULT_EXACT_PACK_LIMIT) -> tuple
     if inst.n == 0:
         return 0, PackingState(d=inst.d, bins=[])
 
-    scale = math.lcm(*(c.denominator for item in inst.items for c in item))
-    scaled = [tuple(int(c * scale) for c in item) for item in inst.items]
-
+    scaled = inst.scaled
     order = sorted(
         range(inst.n),
         key=lambda i: (-max(scaled[i]), -sum(scaled[i]), scaled[i], i),
     )
     sorted_items = [scaled[i] for i in order]
 
-    # First-Fit incumbent on the search order seeds the upper bound.
-    ff_loads: list[list[int]] = []
-    incumbent = []
-    for w in sorted_items:
-        for b, load in enumerate(ff_loads):
-            if all(l + c <= scale for l, c in zip(load, w)):
-                ff_loads[b] = [l + c for l, c in zip(load, w)]
-                incumbent.append(b)
-                break
-        else:
-            ff_loads.append(list(w))
-            incumbent.append(len(ff_loads) - 1)
+    packer = FirstFitPacker()
+    packer.start(inst.d, inst.scale)
+    incumbent = [packer.place(w) for w in sorted_items]
 
-    totals = [sum(w[j] for w in sorted_items) for j in range(inst.d)]
-    lower = max(1, max(-(-t // scale) for t in totals))
-
-    count, assign = kernels.packing_bnb(sorted_items, scale, lower, incumbent)
+    count, assign = kernels.packing_bnb(sorted_items, inst.scale, lower_bound(inst), incumbent)
 
     bins: list[list[int]] = [[] for _ in range(count)]
     for pos, b in enumerate(assign):
@@ -207,10 +236,7 @@ def opt_exact(inst: VbpInstance, limit: int = DEFAULT_EXACT_PACK_LIMIT) -> tuple
         bins=[
             Bin(
                 items=sorted(members),
-                load=tuple(
-                    sum((inst.items[i][j] for i in members), Fraction(0))
-                    for j in range(inst.d)
-                ),
+                load=inst.unscale(_column_sums([scaled[i] for i in members], inst.d)),
             )
             for members in bins
         ],
@@ -251,11 +277,26 @@ def parse_vbp_text(text: str) -> VbpInstance:
     n, d = header
     if len(rows) != n:
         raise InputError(f"header declares {n} items but {len(rows)} found")
+    # Each distinct token is parsed and range-checked once (a reduced file
+    # holds a handful among n*d), in first-appearance order, so errors are
+    # reported as make_instance would: syntax first, then per item range
+    # before dimension.
+    values: dict[str, Fraction] = dict.fromkeys(tok for row in rows for tok in row)
     try:
-        items = [[Fraction(tok) for tok in row] for row in rows]
+        for tok in values:
+            values[tok] = Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad coordinate: {exc}") from exc
-    return make_instance(d, items)
+    if d < 1:
+        raise InputError("dimension must be >= 1")
+    outside = {tok for tok, f in values.items() if not 0 <= f <= 1}
+    for i, row in enumerate(rows):
+        if outside and not outside.isdisjoint(row):
+            bad = next(tok for tok in row if tok in outside)
+            raise InputError(f"coordinate {values[bad]} outside [0,1]")
+        if len(row) != d:
+            raise InputError(f"item {i} has dimension {len(row)}, expected {d}")
+    return VbpInstance(d=d, items=tuple(tuple(map(values.__getitem__, row)) for row in rows))
 
 
 def _fmt_fraction(f: Fraction) -> str:

@@ -129,10 +129,11 @@ def check_subset_independence(
     for g in graphs:
         count += 1
         inst = reduction(g)
+        rows, scale = inst.scaled, inst.scale
         verts = list(g.vertices)
         for r in range(len(verts) + 1):
             for subset in combinations(verts, r):
-                fits = fits_together([inst.items[v - 1] for v in subset], inst.d)
+                fits = fits_together([rows[v - 1] for v in subset], inst.d, scale)
                 indep = is_independent_set(g, subset)
                 if fits != indep:
                     failures.append(

@@ -73,6 +73,23 @@ def brute_opt_bins(items, d: int) -> int:
     return k
 
 
+def naive_first_fit(items, d: int) -> list[tuple[list[int], tuple[Fraction, ...]]]:
+    """First-Fit on exact Fractions against unit bins: (members, load) per bin."""
+    one = Fraction(1)
+    bins: list[tuple[list[int], list[Fraction]]] = []
+    for i, w in enumerate(items):
+        for members, load in bins:
+            if all(load[j] + w[j] <= one for j in range(d)):
+                break
+        else:
+            members, load = [], [Fraction(0)] * d
+            bins.append((members, load))
+        members.append(i)
+        for j in range(d):
+            load[j] += w[j]
+    return [(members, tuple(load)) for members, load in bins]
+
+
 def brute_is_independent(graph: Graph, subset) -> bool:
     s = set(subset)
     return not any(u in s and v in s for u, v in graph.edges)

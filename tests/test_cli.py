@@ -104,6 +104,14 @@ def test_run_first_fit_on_vbp_file(tmp_path, capsys):
     assert code == 0 and json.loads(out)["aggregates"]["bins"] == 3
 
 
+@pytest.mark.parametrize("subcommand", ["run", "bench"])
+def test_t_with_vbp_input_exits_2(tmp_path, capsys, subcommand):
+    vbp = tmp_path / "basis.vbp"
+    vbp.write_text("vbp 3 3\n1 0 0\n0 1 0\n0 0 1\n")
+    code, out, err = run_cli(capsys, subcommand, "first-fit", "--input", str(vbp), "--t", "3")
+    assert code == 2 and out == "" and "--t" in err and "vbp file" in err
+
+
 def test_run_algorithm_b(capsys):
     code, out, _ = run_cli(
         capsys, "run", "algorithm-b", "--family", "cycle", "--n", "6",

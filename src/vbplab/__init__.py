@@ -3,9 +3,9 @@
 Exact small-instance oracles (chromatic number, fractional chromatic
 number, optimal vector packing), the coloring -> packing reductions that
 tie them together, blow-up ("copies") colorings, the randomized
-pool-sampling simulation, adversarial generators, and a verification
-harness. Everything is pure Python; the branch-and-bound searches behind
-the exact oracles live in vbplab.kernels.
+pool-sampling simulation, instance generators (crown graphs among them),
+and a verification harness. Everything is pure Python; the
+branch-and-bound searches behind the exact oracles live in vbplab.kernels.
 """
 
 __version__ = "0.1.0"
@@ -23,7 +23,6 @@ from .copies import (
 )
 from .errors import InputError, ProtocolError, ResourceLimitError
 from .generators import (
-    ReplayAdversary,
     all_connected_graphs,
     all_graphs,
     gen_complete,
@@ -32,12 +31,10 @@ from .generators import (
     gen_empty,
     gen_gnp,
     gen_path,
-    run_adversary,
 )
 from .graphs import (
     FractionalColoring,
     Graph,
-    GreedyColoring,
     OnlineVertexEvent,
     chromatic_number_exact,
     events_from_graph,
@@ -45,10 +42,8 @@ from .graphs import (
     graph_from_edges,
     greedy_online_coloring,
     is_independent_set,
-    read_graph_file,
     validate_coloring,
     validate_fractional_coloring,
-    write_graph_file,
 )
 from .kernels import BACKEND
 from .pool import (
@@ -73,13 +68,10 @@ from .vbp import (
     VbpInstance,
     competitive_gap,
     first_fit_online,
-    fits,
     lower_bound,
     make_instance,
     make_item,
     opt_exact,
-    read_vbp_file,
     validate_packing,
-    write_vbp_file,
 )
 from .verify import run_verification_suite

@@ -137,6 +137,11 @@ def _load_graph(args) -> tuple[Graph, int | None]:
     raise InputError("need an instance: --input FILE or --family NAME")
 
 
+def _reduce(graph: Graph, t: int | None) -> VbpInstance:
+    """The graph's coloring reduction, or with t its copies reduction."""
+    return reduce_copies(CopiesInstance(graph, t)) if t else reduce_graph(graph)
+
+
 def _load_vbp(args) -> VbpInstance:
     """VBP instance from a vbp file, or the reduction of a graph/copies source."""
     if getattr(args, "input", None):
@@ -150,10 +155,19 @@ def _load_vbp(args) -> VbpInstance:
                 raise InputError("--t applies to graph and copies inputs, not to a vbp file")
             return parse_vbp_text(text)
         graph, file_t = parse_instance_text(text)
-        t = args.t if args.t is not None else file_t
-        return reduce_copies(CopiesInstance(graph, t)) if t else reduce_graph(graph)
-    graph, t = _load_graph(args)
-    return reduce_copies(CopiesInstance(graph, t)) if t else reduce_graph(graph)
+        return _reduce(graph, args.t if args.t is not None else file_t)
+    return _reduce(*_load_graph(args))
+
+
+def _first_fit_vs_bound(inst: VbpInstance, max_items: int) -> tuple[int, str, int, Fraction | None]:
+    """First-Fit's bins, its bound's name and value ("opt" within max_items,
+    else "lower_bound"), and bins/bound (None for a zero bound)."""
+    bins = first_fit_online(inst).num_bins
+    if inst.n <= max_items:
+        name, bound = "opt", opt_exact(inst, limit=max_items)[0]
+    else:
+        name, bound = "lower_bound", lower_bound(inst)
+    return bins, name, bound, Fraction(bins, bound) if bound else None
 
 
 # ---------------------------------------------------------------- subcommands
@@ -167,9 +181,7 @@ def cmd_gen(args) -> int:
 
 def cmd_reduce(args) -> int:
     graph, t = parse_instance_text(_read_text(args.input))
-    if args.t is not None:
-        t = args.t
-    inst = reduce_copies(CopiesInstance(graph, t)) if t else reduce_graph(graph)
+    inst = _reduce(graph, args.t if args.t is not None else t)
     _write_text(format_vbp_text(inst), args.output)
     return 0
 
@@ -209,19 +221,11 @@ def _run_greedy_ccp(args, report: dict) -> int:
 
 def _run_first_fit(args, report: dict) -> int:
     inst = _load_vbp(args)
-    packing = first_fit_online(inst)
-    bins = packing.num_bins
-    agg = {"bins": bins, "items": inst.n, "d": inst.d}
-    if inst.n <= args.max_items:
-        opt, _w = opt_exact(inst, limit=args.max_items)
-        agg["opt"] = opt
-        agg["gap"] = _fmt(Fraction(bins, opt)) if opt else None
-    else:
-        lower = lower_bound(inst)
-        agg["lower_bound"] = lower
-        agg["gap_vs_lower"] = _fmt(Fraction(bins, lower)) if lower else None
+    bins, bound_name, bound, gap = _first_fit_vs_bound(inst, args.max_items)
     trials = args.trials or 1
     report["per_trial"] = [{"bins": bins}] * trials
+    agg = {"bins": bins, "items": inst.n, "d": inst.d, bound_name: bound}
+    agg["gap" if bound_name == "opt" else "gap_vs_lower"] = _fmt(gap)
     report["aggregates"] = agg
     return 0
 
@@ -314,30 +318,18 @@ def _bench_first_fit(args, report: dict) -> int:
     if args.family == "gnp" and args.input is None:
         if args.n is None:
             raise InputError("family 'gnp' requires --n")
-        instances = []
-        for i in range(trials):
-            graph = gen_gnp(args.n, args.p, trial_seed(args.seed, i))
-            instances.append(
-                reduce_copies(CopiesInstance(graph, args.t)) if args.t else reduce_graph(graph)
-            )
+        instances = [
+            _reduce(gen_gnp(args.n, args.p, trial_seed(args.seed, i)), args.t)
+            for i in range(trials)
+        ]
     else:
         instances = [_load_vbp(args)]
     gaps = []
     for inst in instances:
-        bins = first_fit_online(inst).num_bins
-        rec = {"bins": bins, "items": inst.n}
-        if inst.n <= args.max_items:
-            opt, _w = opt_exact(inst, limit=args.max_items)
-            rec["opt"] = opt
-            gap = Fraction(bins, opt) if opt else None
-        else:
-            lower = lower_bound(inst)
-            rec["lower_bound"] = lower
-            gap = Fraction(bins, lower) if lower else None
-        rec["gap"] = _fmt(gap)
+        bins, bound_name, bound, gap = _first_fit_vs_bound(inst, args.max_items)
+        per_trial.append({"bins": bins, "items": inst.n, bound_name: bound, "gap": _fmt(gap)})
         if gap is not None:
             gaps.append(gap)
-        per_trial.append(rec)
     report["per_trial"] = per_trial
     agg = {"instances": len(per_trial)}
     if gaps:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterable
 
 from .errors import InputError, ResourceLimitError
@@ -78,7 +77,14 @@ def blow_up_explicit(inst: CopiesInstance) -> Graph:
 
 
 def validate_copies_coloring(inst: CopiesInstance, coloring: CopiesColoring) -> bool:
-    """True iff copies of a vertex get distinct colors and neighbors never share."""
+    """True iff copies of a vertex get distinct colors and neighbors never share.
+
+    Raises InputError unless the coloring assigns exactly the instance's copies.
+    """
+    if len(coloring) > inst.num_copies:
+        copies = set(inst.copies())
+        stray = next(c for c in coloring if c not in copies)
+        raise InputError(f"copies coloring assigns {stray!r}, not a copy of the instance")
     per_vertex: dict[int, set[int]] = {}
     for v in inst.base.vertices:
         colors = set()
@@ -233,11 +239,3 @@ def parse_copies_text(text: str) -> CopiesInstance:
 
 def format_copies_text(inst: CopiesInstance) -> str:
     return format_graph_text(inst.base, t=inst.t)
-
-
-def read_copies_file(path: str | Path) -> CopiesInstance:
-    return parse_copies_text(Path(path).read_text())
-
-
-def write_copies_file(inst: CopiesInstance, path: str | Path) -> None:
-    Path(path).write_text(format_copies_text(inst))

@@ -1,28 +1,19 @@
-"""Graph generators, exhaustive enumeration, and online adversaries.
+"""Graph generators and exhaustive enumeration.
 
 Arrival order is part of an instance: generators fix vertex ids 1..n and
 the online sequence presents them in id order. The crown generator
 interleaves the two sides (a1 b1 a2 b2 ...) because that ordering is what
-forces greedy to burn k colors on a 2-chromatic graph.
+forces greedy to burn k colors on a 2-chromatic graph. Every instance is a
+fixed graph; no generator adapts to an algorithm's answers.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, Protocol
+from typing import Iterator
 
-import numpy as np
-
-from .errors import InputError, ProtocolError
-from .graphs import (
-    ColorId,
-    Coloring,
-    Graph,
-    OnlineVertexEvent,
-    graph_from_edges,
-    is_connected,
-    validate_coloring,
-)
+from .errors import InputError
+from .graphs import Graph, graph_from_edges, is_connected
 from .rng import Seed, make_rng
 
 
@@ -103,86 +94,3 @@ def all_connected_graphs(n: int) -> Iterator[Graph]:
     for g in all_graphs(n):
         if is_connected(g):
             yield g
-
-
-class AdaptiveAdversary(Protocol):
-    """Chooses each arrival after observing the algorithm's previous answers.
-
-    Declares its total vertex count n up front and emits exactly n events;
-    the realized graph is only available once all events are out.
-    """
-
-    n: int
-
-    def start(self, rng: np.random.Generator) -> None: ...
-
-    def next_event(self, history: dict[int, ColorId]) -> OnlineVertexEvent | None: ...
-
-    def final_graph(self) -> Graph: ...
-
-
-class ReplayAdversary:
-    """Oblivious adversary: plays a fixed graph in id order, ignores history."""
-
-    def __init__(self, graph: Graph):
-        self.graph = graph
-        self.n = graph.n
-        self._next = 1
-
-    def start(self, rng: np.random.Generator) -> None:
-        self._next = 1
-
-    def next_event(self, history: dict[int, ColorId]) -> OnlineVertexEvent | None:
-        v = self._next
-        if v > self.graph.n:
-            return None
-        self._next += 1
-        back = frozenset(u for u in self.graph.neighbors(v) if u < v)
-        return OnlineVertexEvent(vertex=v, back_edges=back)
-
-    def final_graph(self) -> Graph:
-        return self.graph
-
-
-class FreshColoring:
-    """Worst-case-cooperative algorithm: a brand-new color for every vertex."""
-
-    deterministic = True
-
-    def start(self, n: int) -> None:
-        self._next = 0
-
-    def color_vertex(self, vertex: int, back_edges: frozenset[int]) -> ColorId:
-        c = self._next
-        self._next += 1
-        return c
-
-
-def run_adversary(
-    adv: AdaptiveAdversary, algo, seed: Seed
-) -> tuple[Graph, Coloring, int]:
-    """Play algo against adv; returns (realized graph, coloring, color count).
-
-    The coloring is validated against the final graph, and every event is
-    checked to mention only previously seen vertices (ProtocolError).
-    """
-    rng = make_rng(seed)
-    adv.start(rng)
-    algo.start(adv.n)
-    history: dict[int, ColorId] = {}
-    while True:
-        ev = adv.next_event(dict(history))
-        if ev is None:
-            break
-        if ev.vertex in history:
-            raise ProtocolError(f"adversary replayed vertex {ev.vertex}")
-        if not ev.back_edges <= set(history):
-            raise ProtocolError(
-                f"adversary's back-edges at vertex {ev.vertex} mention unseen vertices"
-            )
-        history[ev.vertex] = algo.color_vertex(ev.vertex, ev.back_edges)
-    graph = adv.final_graph()
-    if len(history) != adv.n or set(history) != set(graph.vertices):
-        raise ProtocolError("adversary did not emit exactly its declared n events")
-    validate_coloring(graph, history)
-    return graph, history, len(set(history.values()))

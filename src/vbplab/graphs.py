@@ -3,6 +3,9 @@
 Vertices are 1..n and the vertex id *is* the arrival position. Color ids are
 opaque: plain non-negative integers for regular colors, with the string
 namespace "s:<step>" reserved for the pool simulation's special colors.
+Online algorithms see a graph as `events_from_graph` presents it: each vertex
+with its edges to earlier vertices. The greedy baseline,
+`greedy_online_coloring`, colors in that order.
 
 The exact oracles (chromatic number, fractional chromatic number) are meant
 for small instances and refuse loudly above their size limits rather than
@@ -14,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from pathlib import Path
 from typing import Hashable, Iterable
 
 from . import kernels, ratlp
@@ -122,30 +124,16 @@ def events_from_graph(graph: Graph) -> list[OnlineVertexEvent]:
     ]
 
 
-class GreedyColoring:
-    """Online First-Fit coloring: the smallest color unused by earlier neighbors."""
-
-    deterministic = True
-
-    def start(self, n: int) -> None:
-        self.assigned: Coloring = {}
-
-    def color_vertex(self, vertex: int, back_edges: frozenset[int]) -> int:
-        used = {self.assigned[u] for u in back_edges}
+def greedy_online_coloring(graph: Graph) -> Coloring:
+    """Online First-Fit coloring in arrival order: each vertex takes the
+    smallest color unused by its earlier neighbors."""
+    out: Coloring = {}
+    for v in graph.vertices:
+        used = {out[u] for u in graph.adjacency[v] if u < v}
         c = 0
         while c in used:
             c += 1
-        self.assigned[vertex] = c
-        return c
-
-
-def greedy_online_coloring(graph: Graph) -> Coloring:
-    """Color vertices in arrival order with the First-Fit rule."""
-    algo = GreedyColoring()
-    algo.start(graph.n)
-    out: Coloring = {}
-    for ev in events_from_graph(graph):
-        out[ev.vertex] = algo.color_vertex(ev.vertex, ev.back_edges)
+        out[v] = c
     return out
 
 
@@ -353,11 +341,3 @@ def format_graph_text(graph: Graph, t: int | None = None) -> str:
         lines.append(f"t {t}")
     lines.extend(f"e {u} {v}" for u, v in sorted(graph.edges))
     return "\n".join(lines) + "\n"
-
-
-def read_graph_file(path: str | Path) -> Graph:
-    return parse_graph_text(Path(path).read_text())
-
-
-def write_graph_file(graph: Graph, path: str | Path) -> None:
-    Path(path).write_text(format_graph_text(graph))

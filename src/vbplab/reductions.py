@@ -9,7 +9,9 @@ the optimal bin count grow without the dimension moving.
 
 Both reductions are streaming: the item for arrival i depends only on
 events 1..i. The total count n must be known upfront because the edge
-weight is 1/n.
+weight is 1/n. Materializing a whole instance takes n*t items of n
+coordinates each, so `reduce_graph` and `reduce_copies` refuse instances
+above MAX_REDUCED_COORDINATES before building any item.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .copies import CopiesColoring, CopiesInstance, validate_copies_coloring
-from .errors import InputError, ProtocolError
+from .errors import InputError, ProtocolError, ResourceLimitError
 from .graphs import Graph, OnlineVertexEvent, events_from_graph
 from .vbp import PackingState, VbpInstance, Vector, validate_packing
+
+MAX_REDUCED_COORDINATES = 2**24
 
 
 def _reduced_vector(n: int, event: OnlineVertexEvent) -> Vector:
@@ -57,14 +61,23 @@ def ccp_to_vbp(n: int, t: int, events: Iterable[OnlineVertexEvent]) -> Iterator[
             yield vector
 
 
+def _check_reduced_size(n: int, t: int) -> None:
+    if n * n * t > MAX_REDUCED_COORDINATES:
+        raise ResourceLimitError(
+            f"reduction limited to {MAX_REDUCED_COORDINATES} coordinates, got n*n*t = {n * n * t}"
+        )
+
+
 def reduce_graph(graph: Graph) -> VbpInstance:
     """Materialized coloring reduction of a whole graph."""
+    _check_reduced_size(graph.n, 1)
     items = tuple(coloring_to_vbp(graph.n, events_from_graph(graph)))
     return VbpInstance(d=graph.n, items=items)
 
 
 def reduce_copies(inst: CopiesInstance) -> VbpInstance:
     """Materialized copies reduction of a whole copies instance."""
+    _check_reduced_size(inst.base.n, inst.t)
     items = tuple(ccp_to_vbp(inst.base.n, inst.t, events_from_graph(inst.base)))
     return VbpInstance(d=inst.base.n, items=items)
 

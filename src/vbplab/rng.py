@@ -27,7 +27,3 @@ def make_rng(seed: Seed) -> np.random.Generator:
 def trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSequence:
     """Independent per-trial stream: spawn key (trial_index,) off the master seed."""
     return np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(trial_index),))
-
-
-def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    return make_rng(trial_seed(master_seed, trial_index))

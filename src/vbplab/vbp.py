@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import kernels
@@ -75,13 +74,6 @@ def make_instance(d: int, items: Iterable[Sequence]) -> VbpInstance:
             raise InputError(f"item {i} has dimension {len(item)}, expected {d}")
         validated.append(item)
     return VbpInstance(d=d, items=tuple(validated))
-
-
-def fits(load: Vector, item: Vector) -> bool:
-    """Exact test: load + item stays <= 1 in every coordinate."""
-    if len(load) != len(item):
-        raise InputError(f"dimension mismatch: load {len(load)}, item {len(item)}")
-    return all(l + c <= 1 for l, c in zip(load, item))
 
 
 def _column_sums(rows: Sequence[Sequence], d: int) -> list:
@@ -307,11 +299,3 @@ def format_vbp_text(inst: VbpInstance) -> str:
     lines = [f"vbp {inst.n} {inst.d}"]
     lines.extend(" ".join(_fmt_fraction(c) for c in item) for item in inst.items)
     return "\n".join(lines) + "\n"
-
-
-def read_vbp_file(path: str | Path) -> VbpInstance:
-    return parse_vbp_text(Path(path).read_text())
-
-
-def write_vbp_file(inst: VbpInstance, path: str | Path) -> None:
-    Path(path).write_text(format_vbp_text(inst))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from vbplab import cli
+from vbplab import cli, reductions
 from vbplab.cli import main
 
 
@@ -79,6 +79,22 @@ def test_reduce_missing_file_exits_2(capsys):
     assert run_cli(capsys, "reduce", "/nonexistent/x.graph")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [("reduce",), ("run", "first-fit", "--input"), ("bench", "first-fit", "--input")]
+)
+def test_reduction_size_limit_exits_3(tmp_path, monkeypatch, capsys, argv):
+    graph = tmp_path / "k4.graph"
+    run_cli(capsys, "gen", "complete", "--n", "4", "-o", str(graph))
+
+    def no_items(*args):
+        raise AssertionError("built an item above the size limit")
+
+    monkeypatch.setattr(reductions, "MAX_REDUCED_COORDINATES", 15)  # K4 needs 16
+    monkeypatch.setattr(reductions, "_reduced_vector", no_items)
+    code, out, err = run_cli(capsys, *argv, str(graph))
+    assert code == 3 and out == "" and "reduction limited" in err
+
+
 # ----------------------------------------------------------------------- run
 
 
@@ -102,6 +118,36 @@ def test_run_first_fit_on_vbp_file(tmp_path, capsys):
     run_cli(capsys, "reduce", str(graph), "-o", str(vbp))
     code, out, _ = run_cli(capsys, "run", "first-fit", "--input", str(vbp))
     assert code == 0 and json.loads(out)["aggregates"]["bins"] == 3
+
+
+def test_first_fit_lower_bound_branch_in_run_and_bench(capsys):
+    # 10 items exceed --max-items 5, so the bound is the coordinate-sum one
+    argv = ("first-fit", "--family", "crown", "--k", "5", "--max-items", "5")
+    code, out, _ = run_cli(capsys, "run", *argv)
+    assert code == 0
+    assert json.loads(out)["aggregates"] == {
+        "bins": 5, "d": 10, "items": 10, "lower_bound": 2, "gap_vs_lower": "5/2",
+    }
+    code, out, _ = run_cli(capsys, "bench", *argv)
+    assert code == 0
+    assert json.loads(out)["per_trial"] == [
+        {"bins": 5, "items": 10, "lower_bound": 2, "gap": "5/2"}
+    ]
+
+
+def test_first_fit_empty_instance_has_opt_zero_and_no_gap(tmp_path, capsys):
+    vbp = tmp_path / "empty.vbp"
+    vbp.write_text("vbp 0 2\n")
+    code, out, _ = run_cli(capsys, "run", "first-fit", "--input", str(vbp))
+    assert code == 0
+    assert json.loads(out)["aggregates"] == {
+        "bins": 0, "d": 2, "items": 0, "opt": 0, "gap": None,
+    }
+    code, out, _ = run_cli(capsys, "bench", "first-fit", "--input", str(vbp))
+    report = json.loads(out)
+    assert code == 0
+    assert report["per_trial"] == [{"bins": 0, "items": 0, "opt": 0, "gap": None}]
+    assert report["aggregates"] == {"instances": 1}
 
 
 @pytest.mark.parametrize("subcommand", ["run", "bench"])

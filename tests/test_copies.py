@@ -97,6 +97,16 @@ def test_validate_copies_rejects_partial():
         validate_copies_coloring(CopiesInstance(K2, 2), {(1, 1): 1})
 
 
+def test_validate_copies_rejects_copies_outside_the_instance():
+    inst = CopiesInstance(K2, 1)
+    # copy index 5 > t and vertex 9 > n; the two real copies are fine
+    stray = {(1, 1): 0, (2, 1): 1, (1, 5): 7, (9, 1): 8}
+    with pytest.raises(InputError, match=r"\(1, 5\)"):
+        validate_copies_coloring(inst, stray)
+    with pytest.raises(InputError):
+        fractional_coloring_from_copies(inst, stray)
+
+
 # --------------------------------------------------------------- extraction
 
 

@@ -1,11 +1,9 @@
-"""Instance generators, exhaustive enumeration, and adversary protocol."""
+"""Instance generators and exhaustive enumeration."""
 
 import pytest
 
-from vbplab.errors import InputError, ProtocolError
+from vbplab.errors import InputError
 from vbplab.generators import (
-    FreshColoring,
-    ReplayAdversary,
     all_connected_graphs,
     all_graphs,
     crown_vertex_ids,
@@ -14,15 +12,8 @@ from vbplab.generators import (
     gen_cycle,
     gen_empty,
     gen_gnp,
-    run_adversary,
 )
-from vbplab.graphs import (
-    GreedyColoring,
-    chromatic_number_exact,
-    graph_from_edges,
-    greedy_online_coloring,
-    is_connected,
-)
+from vbplab.graphs import chromatic_number_exact, greedy_online_coloring, is_connected
 
 
 def test_gnp_extremes():
@@ -83,52 +74,3 @@ def test_all_graphs_counts():
 
 def test_all_connected_graphs_are_connected():
     assert all(is_connected(g) for g in all_connected_graphs(4))
-
-
-# ---------------------------------------------------------------- adversary
-
-
-def test_replay_adversary_matches_offline_greedy():
-    g = gen_gnp(7, 0.5, 35000)
-    realized, coloring, count = run_adversary(ReplayAdversary(g), GreedyColoring(), 0)
-    assert realized == g
-    assert coloring == greedy_online_coloring(g)
-    assert count == len(set(coloring.values()))
-
-
-def test_crown_adversary_vs_greedy():
-    _, _, count = run_adversary(ReplayAdversary(gen_crown(4)), GreedyColoring(), 0)
-    assert count == 4
-
-
-def test_fresh_coloring_uses_n_colors():
-    g = gen_gnp(6, 0.5, 36000)
-    _, coloring, count = run_adversary(ReplayAdversary(g), FreshColoring(), 0)
-    assert count == g.n and len(set(coloring.values())) == g.n
-
-
-def test_adversary_protocol_validation():
-    class Cheater(ReplayAdversary):
-        def next_event(self, history):
-            ev = super().next_event(history)
-            if ev is not None and ev.vertex == 2:
-                from vbplab.graphs import OnlineVertexEvent
-
-                return OnlineVertexEvent(vertex=2, back_edges=frozenset({5}))
-            return ev
-
-    g = graph_from_edges(3, [(1, 2)])
-    with pytest.raises(ProtocolError):
-        run_adversary(Cheater(g), GreedyColoring(), 0)
-
-
-def test_adversary_must_emit_all_vertices():
-    class Quitter(ReplayAdversary):
-        def next_event(self, history):
-            if len(history) >= 2:
-                return None
-            return super().next_event(history)
-
-    g = gen_cycle(4)
-    with pytest.raises(ProtocolError):
-        run_adversary(Quitter(g), GreedyColoring(), 0)

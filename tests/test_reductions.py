@@ -6,7 +6,8 @@ from itertools import combinations
 import pytest
 
 from vbplab.copies import CopiesInstance, validate_copies_coloring
-from vbplab.errors import InputError, ProtocolError
+from vbplab import reductions
+from vbplab.errors import InputError, ProtocolError, ResourceLimitError
 from vbplab.generators import all_connected_graphs, gen_complete, gen_cycle, gen_empty, gen_gnp, gen_path
 from vbplab.graphs import (
     OnlineVertexEvent,
@@ -93,6 +94,20 @@ def test_ccp_reduction_emits_t_copies():
         (F(1, 2), F(1)),
     )
     assert opt_exact(inst)[0] == 4  # = chi(K2^2) = chi(K4)
+
+
+def test_size_limit_checked_before_any_item(monkeypatch):
+    monkeypatch.setattr(reductions, "MAX_REDUCED_COORDINATES", 9)
+    assert reduce_graph(gen_complete(3)).n == 3  # 3 items of d = 3: at the limit
+
+    def no_items(*args):
+        raise AssertionError("built an item above the size limit")
+
+    monkeypatch.setattr(reductions, "_reduced_vector", no_items)
+    with pytest.raises(ResourceLimitError):
+        reduce_graph(gen_complete(4))
+    with pytest.raises(ResourceLimitError):
+        reduce_copies(CopiesInstance(gen_complete(3), 2))  # t multiplies the items
 
 
 def test_ccp_reduction_trivial_cases():

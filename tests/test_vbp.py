@@ -18,7 +18,6 @@ from vbplab.vbp import (
     VbpInstance,
     competitive_gap,
     first_fit_online,
-    fits,
     fits_together,
     format_vbp_text,
     lower_bound,
@@ -64,14 +63,14 @@ def test_make_item_bounds():
 
 
 def test_fits_examples():
-    assert fits((F(1, 2), F(0)), (F(1, 2), F(1)))       # boundary 1 allowed
-    assert not fits((F(1, 2), F(0)), (F(2, 3), F(0)))
-    assert fits((F(0),), (F(1),))
+    assert fits_together([(F(1, 2), F(0)), (F(1, 2), F(1))], 2)  # boundary 1 allowed
+    assert not fits_together([(F(1, 2), F(0)), (F(2, 3), F(0))], 2)
+    assert fits_together([(F(0),), (F(1),)], 1)
 
 
 def test_fits_dimension_mismatch():
     with pytest.raises(InputError):
-        fits((F(1, 2),), (F(1, 2), F(0)))
+        fits_together([(F(1, 2),), (F(1, 2), F(0))], 1)
 
 
 def test_instance_requires_uniform_dimension():
@@ -230,8 +229,8 @@ def test_roundtrip_and_monotone_property(n, d, seed):
                 b.load[j] - inst.items[idx][j] for j in range(d)
             )
             for other in range(n):
-                if fits(b.load, inst.items[other]):
-                    assert fits(reduced, inst.items[other])
+                if fits_together([b.load, inst.items[other]], d):
+                    assert fits_together([reduced, inst.items[other]], d)
 
 
 # ------------------------------------------------------------ integer view

@@ -54,12 +54,12 @@ from .pool import (
     sampling_probability,
 )
 from .reductions import (
+    VbpBackedCcp,
     ccp_to_vbp,
     coloring_to_vbp,
     packing_to_copies_coloring,
     reduce_copies,
     reduce_graph,
-    vbp_algorithm_to_ccp_algorithm,
 )
 from .vbp import (
     Bin,

@@ -43,7 +43,7 @@ from .graphs import (
 )
 from .kernels import BACKEND
 from .pool import monte_carlo_verify, run_algorithm_b, sampling_probability
-from .reductions import reduce_copies, reduce_graph
+from .reductions import check_reduced_size, reduce_copies, reduce_graph
 from .rng import trial_seed
 from .vbp import (
     VbpInstance,
@@ -318,10 +318,11 @@ def _bench_first_fit(args, report: dict) -> int:
     if args.family == "gnp" and args.input is None:
         if args.n is None:
             raise InputError("family 'gnp' requires --n")
-        instances = [
+        check_reduced_size(args.n, args.t or 1)
+        instances = (
             _reduce(gen_gnp(args.n, args.p, trial_seed(args.seed, i)), args.t)
             for i in range(trials)
-        ]
+        )
     else:
         instances = [_load_vbp(args)]
     gaps = []

@@ -3,7 +3,7 @@
 The two branch-and-bound searches behind the exact oracles: minimum
 coloring (graphs.chromatic_number_exact) and minimum-bin vector packing
 (vbp.opt_exact). Both run on plain Python ints, which bound neither the
-number of vertices nor the scaled capacity.
+number of vertices nor a VBP instance's capacity `scale`.
 
 Both kernels take a feasible incumbent that seeds the upper bound and a
 proven lower bound used to stop the search as soon as it is matched.
@@ -70,9 +70,8 @@ def packing_bnb(
 ) -> tuple[int, list[int]]:
     """Minimum-bin vector packing by branch and bound.
 
-    items are integer-scaled vectors (all coordinates and the shared
-    capacity scaled by the lcm of denominators, so feasibility is exact
-    integer arithmetic). Pruning: a bin may only be opened as bin k+1 when
+    items are a VbpInstance's int rows and capacity its `scale`, so
+    feasibility is exact integer arithmetic. Pruning: a bin may only be opened as bin k+1 when
     bins 1..k are in use, and an item identical to its predecessor never
     goes to a lower-indexed bin than that predecessor. Returns
     (bin_count, assignment).

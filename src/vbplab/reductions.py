@@ -2,44 +2,44 @@
 
 A graph on n vertices becomes a VBP instance in d = n dimensions: vertex i
 maps to the vector with 1 in its own coordinate and 1/n in the coordinate
-of every already-arrived neighbor. Items then share a bin exactly when the
-matching vertices are independent, so bins are colors. The copies variant
-emits t identical items per vertex while keeping d = n, which is what lets
-the optimal bin count grow without the dimension moving.
+of every already-arrived neighbor, emitted as the int row with n and 1
+over capacity n. Items then share a bin exactly when the matching
+vertices are independent, so bins are colors. The copies variant emits t
+identical items per vertex while keeping d = n, which is what lets the
+optimal bin count grow without the dimension moving.
 
-Both reductions are streaming: the item for arrival i depends only on
-events 1..i. The total count n must be known upfront because the edge
-weight is 1/n. Materializing a whole instance takes n*t items of n
+Both reductions are streaming: the row for arrival i depends only on
+events 1..i. The total count n must be known upfront because it is the
+capacity. Materializing a whole instance takes n*t items of n
 coordinates each, so `reduce_graph` and `reduce_copies` refuse instances
 above MAX_REDUCED_COORDINATES before building any item.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .copies import CopiesColoring, CopiesInstance, validate_copies_coloring
 from .errors import InputError, ProtocolError, ResourceLimitError
 from .graphs import Graph, OnlineVertexEvent, events_from_graph
-from .vbp import PackingState, VbpInstance, Vector, validate_packing
+from .vbp import PackingState, Row, VbpInstance, validate_packing
 
 MAX_REDUCED_COORDINATES = 2**24
 
 
-def _reduced_vector(n: int, event: OnlineVertexEvent) -> Vector:
+def _reduced_vector(n: int, event: OnlineVertexEvent) -> Row:
     i = event.vertex
-    coords = [Fraction(0)] * n
-    coords[i - 1] = Fraction(1)
+    coords = [0] * n
+    coords[i - 1] = n
     for j in event.back_edges:
         if not 1 <= j < i:
             raise InputError(f"back-edge {j} not earlier than vertex {i}")
-        coords[j - 1] = Fraction(1, n)
+        coords[j - 1] = 1
     return tuple(coords)
 
 
-def coloring_to_vbp(n: int, events: Iterable[OnlineVertexEvent]) -> Iterator[Vector]:
-    """Stream of item vectors for the coloring reduction (d = n)."""
+def coloring_to_vbp(n: int, events: Iterable[OnlineVertexEvent]) -> Iterator[Row]:
+    """Stream of int rows over capacity n for the coloring reduction (d = n)."""
     if n < 1:
         raise InputError("need at least one vertex")
     expected = 1
@@ -52,16 +52,17 @@ def coloring_to_vbp(n: int, events: Iterable[OnlineVertexEvent]) -> Iterator[Vec
         expected += 1
 
 
-def ccp_to_vbp(n: int, t: int, events: Iterable[OnlineVertexEvent]) -> Iterator[Vector]:
-    """Copies reduction: t identical copies of each reduced vector, d = n."""
+def ccp_to_vbp(n: int, t: int, events: Iterable[OnlineVertexEvent]) -> Iterator[Row]:
+    """Copies reduction: t identical copies of each reduced row, d = n."""
     if t < 1:
         raise InputError("copies per vertex must be >= 1")
-    for vector in coloring_to_vbp(n, events):
+    for row in coloring_to_vbp(n, events):
         for _ in range(t):
-            yield vector
+            yield row
 
 
-def _check_reduced_size(n: int, t: int) -> None:
+def check_reduced_size(n: int, t: int) -> None:
+    """Refuse a reduction of n vertices with t copies above MAX_REDUCED_COORDINATES."""
     if n * n * t > MAX_REDUCED_COORDINATES:
         raise ResourceLimitError(
             f"reduction limited to {MAX_REDUCED_COORDINATES} coordinates, got n*n*t = {n * n * t}"
@@ -70,16 +71,15 @@ def _check_reduced_size(n: int, t: int) -> None:
 
 def reduce_graph(graph: Graph) -> VbpInstance:
     """Materialized coloring reduction of a whole graph."""
-    _check_reduced_size(graph.n, 1)
-    items = tuple(coloring_to_vbp(graph.n, events_from_graph(graph)))
-    return VbpInstance(d=graph.n, items=items)
+    check_reduced_size(graph.n, 1)
+    return VbpInstance.from_rows(graph.n, graph.n, coloring_to_vbp(graph.n, events_from_graph(graph)))
 
 
 def reduce_copies(inst: CopiesInstance) -> VbpInstance:
     """Materialized copies reduction of a whole copies instance."""
-    _check_reduced_size(inst.base.n, inst.t)
-    items = tuple(ccp_to_vbp(inst.base.n, inst.t, events_from_graph(inst.base)))
-    return VbpInstance(d=inst.base.n, items=items)
+    n = inst.base.n
+    check_reduced_size(n, inst.t)
+    return VbpInstance.from_rows(n, n, ccp_to_vbp(n, inst.t, events_from_graph(inst.base)))
 
 
 def packing_to_copies_coloring(inst: CopiesInstance, packing: PackingState) -> CopiesColoring:
@@ -105,10 +105,11 @@ def packing_to_copies_coloring(inst: CopiesInstance, packing: PackingState) -> C
 class VbpBackedCcp:
     """Online copies-coloring algorithm driven by an online VBP algorithm.
 
-    Feeds each arriving vertex's t item copies to the packer and reports
-    bin indices as colors; colors used equals bins opened. Shadow loads
-    re-check every placement so a misbehaving packer surfaces as a
-    ProtocolError instead of an invalid coloring.
+    Feeds each arriving vertex's t copies of its int row to the packer
+    (start(n, n), then place(row) -> bin) and reports bin indices as
+    colors; colors used equals bins opened. Int shadow loads re-check every
+    placement so a misbehaving packer surfaces as a ProtocolError instead
+    of an invalid coloring.
     """
 
     def __init__(self, packer):
@@ -118,26 +119,23 @@ class VbpBackedCcp:
     def start(self, n: int, t: int) -> None:
         self.n = n
         self.t = t
-        self.packer.start(n)
-        self._loads: list[list[Fraction]] = []
+        self.packer.start(n, n)
+        self._loads: list[list[int]] = []
 
     def color_copies(self, vertex: int, back_edges: frozenset[int]) -> tuple[int, ...]:
-        vector = _reduced_vector(self.n, OnlineVertexEvent(vertex, frozenset(back_edges)))
+        row = _reduced_vector(self.n, OnlineVertexEvent(vertex, frozenset(back_edges)))
         colors = []
         for _ in range(self.t):
-            b = self.packer.place(vector)
+            b = self.packer.place(row)
+            if not isinstance(b, int):
+                raise ProtocolError(f"packer returned bin {b!r}, not an integer")
             if not 0 <= b <= len(self._loads):
                 raise ProtocolError(f"packer placed into nonexistent bin {b}")
             if b == len(self._loads):
-                self._loads.append([Fraction(0)] * self.n)
+                self._loads.append([0] * self.n)
             load = self._loads[b]
-            if any(l + c > 1 for l, c in zip(load, vector)):
+            if any(l + c > self.n for l, c in zip(load, row)):
                 raise ProtocolError(f"packer overfilled bin {b}")
-            self._loads[b] = [l + c for l, c in zip(load, vector)]
+            self._loads[b] = [l + c for l, c in zip(load, row)]
             colors.append(b)
         return tuple(colors)
-
-
-def vbp_algorithm_to_ccp_algorithm(packer) -> VbpBackedCcp:
-    """Wrap an online VBP algorithm (start(d) / place(item) -> bin) as a CCP algorithm."""
-    return VbpBackedCcp(packer)

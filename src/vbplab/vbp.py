@@ -1,13 +1,13 @@
-"""Vector bin packing with exact rational arithmetic.
+"""Vector bin packing on exact integer rows.
 
-Items are d-dimensional vectors of Fractions in [0,1]; bins have unit
-capacity per coordinate. Each instance also carries an exact integer view,
-computed once: every coordinate multiplied by `scale`, the lcm of all
-denominators, so a bin's capacity becomes `scale`. Fit tests, First-Fit,
+An instance stores item coordinate c in [0,1] as the int c * scale, where
+`scale`, a bin's capacity, is the lcm of the reduced denominators (1 with
+no items), so equal instances have equal fields. Fit tests, First-Fit,
 packing validation, the lower bound and the exact optimum all add plain
-ints on that view, so boundary sums like n * (1/n) land on the capacity
-exactly, never on 0.999... Fractions appear only at I/O and in reports
-(bin loads are converted back once per bin).
+ints, so boundary sums like n * (1/n) land on the capacity exactly, never
+on 0.999... Fractions appear only at I/O: the `items` view,
+`make_instance`, the text format, and bin loads in reports (converted
+back once per bin).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 from . import kernels
 from .errors import InputError, ResourceLimitError
 
+Row = tuple[int, ...]
 Vector = tuple[Fraction, ...]
 
 DEFAULT_EXACT_PACK_LIMIT = 14
@@ -39,28 +40,32 @@ def make_item(coords: Sequence) -> Vector:
 
 @dataclass(frozen=True)
 class VbpInstance:
-    """Ordered d-dimensional items; sequence order is the online arrival order."""
+    """Ordered d-dimensional int rows over capacity `scale`, in arrival order."""
 
     d: int
-    items: tuple[Vector, ...]
+    scale: int
+    rows: tuple[Row, ...]
+
+    @classmethod
+    def from_rows(cls, d: int, capacity: int, rows: Iterable[Row]) -> VbpInstance:
+        """Canonical instance of int rows over `capacity`: divided by gcd(capacity, *entries)."""
+        rows = tuple(rows)
+        g = math.gcd(capacity, *(math.gcd(*row) for row in rows))
+        if g > 1:
+            rows = tuple(tuple([e // g for e in row]) for row in rows)
+        return cls(d=d, scale=capacity // g, rows=rows)
 
     @property
     def n(self) -> int:
-        return len(self.items)
+        return len(self.rows)
 
     @cached_property
-    def scale(self) -> int:
-        """Lcm of all coordinate denominators (1 with no items): the capacity of `scaled`."""
-        return math.lcm(*{c.denominator for item in self.items for c in item})
-
-    @cached_property
-    def scaled(self) -> tuple[tuple[int, ...], ...]:
-        """The items as exact ints: coordinate c becomes c * scale."""
-        s = self.scale
-        return tuple(tuple([c.numerator * s // c.denominator for c in item]) for item in self.items)
+    def items(self) -> tuple[Vector, ...]:
+        """The rows as Fractions of a unit bin: the I/O view."""
+        return tuple(map(self.unscale, self.rows))
 
     def unscale(self, load: Sequence[int]) -> Vector:
-        """An integer load on the scaled view, back as Fractions of a unit bin."""
+        """An integer load over `scale`, back as Fractions of a unit bin."""
         return tuple(Fraction(x, self.scale) for x in load)
 
 
@@ -73,22 +78,19 @@ def make_instance(d: int, items: Iterable[Sequence]) -> VbpInstance:
         if len(item) != d:
             raise InputError(f"item {i} has dimension {len(item)}, expected {d}")
         validated.append(item)
-    return VbpInstance(d=d, items=tuple(validated))
+    scale = math.lcm(*{c.denominator for item in validated for c in item})
+    return VbpInstance.from_rows(d, scale, [tuple(int(c * scale) for c in item) for item in validated])
 
 
-def _column_sums(rows: Sequence[Sequence], d: int) -> list:
-    """Per-coordinate totals of the rows, in their own number type (zeros for no rows)."""
+def _column_sums(rows: Sequence[Row], d: int) -> list[int]:
+    """Per-coordinate totals of the rows (zeros for no rows)."""
     return [sum(column) for column in zip(*rows)] if rows else [0] * d
 
 
-def fits_together(items: Iterable[Sequence], d: int, capacity=1) -> bool:
-    """True iff all given items can share one bin of the given capacity.
-
-    Sums in whatever number type the items hold: Fraction items against the
-    unit capacity, or rows of `VbpInstance.scaled` against `scale`.
-    """
-    rows = list(items)
-    if any(len(item) != d for item in rows):
+def fits_together(rows: Iterable[Row], d: int, capacity: int) -> bool:
+    """True iff all given int rows can share one bin of the given capacity."""
+    rows = list(rows)
+    if any(len(row) != d for row in rows):
         raise InputError("dimension mismatch")
     return all(t <= capacity for t in _column_sums(rows, d))
 
@@ -118,31 +120,29 @@ class PackingState:
 
 
 class FirstFitPacker:
-    """Online First-Fit: each item goes to the lowest-indexed bin it fits in.
+    """Online First-Fit: each int row goes to the lowest-indexed bin it fits in.
 
-    Loads are summed in the items' own number type against `capacity`:
-    Fraction vectors with the default unit capacity, or rows of
-    `VbpInstance.scaled` with capacity `scale`.
+    The online packer protocol: start(d, capacity), then place(row) -> bin.
     """
 
     deterministic = True
 
-    def start(self, d: int, capacity=1) -> None:
+    def start(self, d: int, capacity: int) -> None:
         if d < 1:
             raise InputError("dimension must be >= 1")
         self.d = d
         self.capacity = capacity
-        self.loads: list[list] = []
+        self.loads: list[list[int]] = []
 
-    def place(self, coords: Sequence) -> int:
-        if len(coords) != self.d:
+    def place(self, row: Row) -> int:
+        if len(row) != self.d:
             raise InputError("dimension mismatch")
         capacity = self.capacity
         for b, load in enumerate(self.loads):
-            if all(l + c <= capacity for l, c in zip(load, coords)):
-                self.loads[b] = [l + c for l, c in zip(load, coords)]
+            if all(l + c <= capacity for l, c in zip(load, row)):
+                self.loads[b] = [l + c for l, c in zip(load, row)]
                 return b
-        self.loads.append(list(coords))
+        self.loads.append(list(row))
         return len(self.loads) - 1
 
 
@@ -151,8 +151,8 @@ def first_fit_online(inst: VbpInstance) -> PackingState:
     packer = FirstFitPacker()
     packer.start(inst.d, inst.scale)
     bins: list[list[int]] = []
-    for i, item in enumerate(inst.scaled):
-        b = packer.place(item)
+    for i, row in enumerate(inst.rows):
+        b = packer.place(row)
         if b == len(bins):
             bins.append([])
         bins[b].append(i)
@@ -166,14 +166,14 @@ def validate_packing(inst: VbpInstance, packing: PackingState) -> bool:
     """Exact check: items partitioned, stored loads consistent, capacity held."""
     if packing.d != inst.d:
         return False
-    scaled = inst.scaled
+    rows = inst.rows
     seen: set[int] = set()
     for bin_ in packing.bins:
         for i in bin_.items:
             if i in seen or not 0 <= i < inst.n:
                 return False
             seen.add(i)
-        total = _column_sums([scaled[i] for i in bin_.items], inst.d)
+        total = _column_sums([rows[i] for i in bin_.items], inst.d)
         if inst.unscale(total) != tuple(bin_.load):
             return False
         if any(t > inst.scale for t in total):
@@ -188,14 +188,14 @@ def lower_bound(inst: VbpInstance) -> int:
     """
     if inst.n == 0:
         return 0
-    heaviest = max(_column_sums(inst.scaled, inst.d))
+    heaviest = max(_column_sums(inst.rows, inst.d))
     return max(1, -(-heaviest // inst.scale))
 
 
 def opt_exact(inst: VbpInstance, limit: int = DEFAULT_EXACT_PACK_LIMIT) -> tuple[int, PackingState]:
     """Minimum bin count with a witness packing, by exact branch and bound.
 
-    The kernel works on the integer view (`scaled`, capacity `scale`).
+    The kernel works on the int rows, with capacity `scale`.
     Search order: max coordinate then coordinate sum, both descending,
     which also groups identical items for symmetry pruning. First-Fit on
     that order seeds the upper bound and `lower_bound` the lower one.
@@ -207,12 +207,12 @@ def opt_exact(inst: VbpInstance, limit: int = DEFAULT_EXACT_PACK_LIMIT) -> tuple
     if inst.n == 0:
         return 0, PackingState(d=inst.d, bins=[])
 
-    scaled = inst.scaled
+    rows = inst.rows
     order = sorted(
         range(inst.n),
-        key=lambda i: (-max(scaled[i]), -sum(scaled[i]), scaled[i], i),
+        key=lambda i: (-max(rows[i]), -sum(rows[i]), rows[i], i),
     )
-    sorted_items = [scaled[i] for i in order]
+    sorted_items = [rows[i] for i in order]
 
     packer = FirstFitPacker()
     packer.start(inst.d, inst.scale)
@@ -228,7 +228,7 @@ def opt_exact(inst: VbpInstance, limit: int = DEFAULT_EXACT_PACK_LIMIT) -> tuple
         bins=[
             Bin(
                 items=sorted(members),
-                load=inst.unscale(_column_sums([scaled[i] for i in members], inst.d)),
+                load=inst.unscale(_column_sums([rows[i] for i in members], inst.d)),
             )
             for members in bins
         ],
@@ -288,14 +288,13 @@ def parse_vbp_text(text: str) -> VbpInstance:
             raise InputError(f"coordinate {values[bad]} outside [0,1]")
         if len(row) != d:
             raise InputError(f"item {i} has dimension {len(row)}, expected {d}")
-    return VbpInstance(d=d, items=tuple(tuple(map(values.__getitem__, row)) for row in rows))
-
-
-def _fmt_fraction(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    scale = math.lcm(*{f.denominator for f in values.values()})
+    entry = {tok: f.numerator * scale // f.denominator for tok, f in values.items()}
+    return VbpInstance.from_rows(d, scale, [tuple(map(entry.__getitem__, row)) for row in rows])
 
 
 def format_vbp_text(inst: VbpInstance) -> str:
+    token = {e: str(Fraction(e, inst.scale)) for e in {e for row in inst.rows for e in row}}
     lines = [f"vbp {inst.n} {inst.d}"]
-    lines.extend(" ".join(_fmt_fraction(c) for c in item) for item in inst.items)
+    lines.extend(" ".join(map(token.__getitem__, row)) for row in inst.rows)
     return "\n".join(lines) + "\n"

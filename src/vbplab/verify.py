@@ -129,7 +129,7 @@ def check_subset_independence(
     for g in graphs:
         count += 1
         inst = reduction(g)
-        rows, scale = inst.scaled, inst.scale
+        rows, scale = inst.rows, inst.scale
         verts = list(g.vertices)
         for r in range(len(verts) + 1):
             for subset in combinations(verts, r):

@@ -90,6 +90,11 @@ def naive_first_fit(items, d: int) -> list[tuple[list[int], tuple[Fraction, ...]
     return [(members, tuple(load)) for members, load in bins]
 
 
+def fraction_fits(items, d: int) -> bool:
+    """True iff the exact Fraction items share one unit bin, summed coordinate by coordinate."""
+    return all(sum((w[j] for w in items), Fraction(0)) <= 1 for j in range(d))
+
+
 def brute_is_independent(graph: Graph, subset) -> bool:
     s = set(subset)
     return not any(u in s and v in s for u, v in graph.edges)

@@ -95,6 +95,16 @@ def test_reduction_size_limit_exits_3(tmp_path, monkeypatch, capsys, argv):
     assert code == 3 and out == "" and "reduction limited" in err
 
 
+def test_bench_gnp_checks_size_limit_before_generating(monkeypatch, capsys):
+    def no_graph(*args):
+        raise AssertionError("generated a graph above the size limit")
+
+    monkeypatch.setattr(reductions, "MAX_REDUCED_COORDINATES", 15)  # n = 4 needs 16
+    monkeypatch.setattr(cli, "gen_gnp", no_graph)
+    code, out, err = run_cli(capsys, "bench", "first-fit", "--family", "gnp", "--n", "4")
+    assert code == 3 and out == "" and "reduction limited" in err
+
+
 # ----------------------------------------------------------------------- run
 
 

@@ -1,14 +1,23 @@
 """Coloring -> VBP and copies -> VBP reductions, and the inverse mappings."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from vbplab.copies import CopiesInstance, validate_copies_coloring
+from vbplab.copies import CopiesInstance, GreedyCcp, validate_copies_coloring
 from vbplab import reductions
 from vbplab.errors import InputError, ProtocolError, ResourceLimitError
-from vbplab.generators import all_connected_graphs, gen_complete, gen_cycle, gen_empty, gen_gnp, gen_path
+from vbplab.generators import (
+    all_connected_graphs,
+    gen_complete,
+    gen_crown,
+    gen_cycle,
+    gen_empty,
+    gen_gnp,
+    gen_path,
+)
 from vbplab.graphs import (
     OnlineVertexEvent,
     chromatic_number_exact,
@@ -18,14 +27,22 @@ from vbplab.graphs import (
     is_independent_set,
 )
 from vbplab.reductions import (
+    VbpBackedCcp,
     ccp_to_vbp,
     coloring_to_vbp,
     packing_to_copies_coloring,
     reduce_copies,
     reduce_graph,
-    vbp_algorithm_to_ccp_algorithm,
 )
-from vbplab.vbp import FirstFitPacker, first_fit_online, fits_together, opt_exact
+from vbplab.pool import run_algorithm_b
+from vbplab.vbp import (
+    FirstFitPacker,
+    first_fit_online,
+    fits_together,
+    format_vbp_text,
+    opt_exact,
+    parse_vbp_text,
+)
 
 F = Fraction
 
@@ -41,6 +58,7 @@ def test_k3_vectors_match_rule():
         (F(1, 3), F(1), F(0)),
         (F(1, 3), F(1, 3), F(1)),
     )
+    assert inst.scale == 3 and inst.rows == ((3, 0, 0), (1, 3, 0), (1, 1, 3))
 
 
 def test_empty_graph_gives_basis():
@@ -50,6 +68,7 @@ def test_empty_graph_gives_basis():
         (F(0), F(1), F(0)),
         (F(0), F(0), F(1)),
     )
+    assert inst.scale == 1 and inst.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_p3_vectors():
@@ -115,6 +134,21 @@ def test_ccp_reduction_trivial_cases():
     assert opt_exact(reduce_copies(CopiesInstance(graph_from_edges(1, []), 3)))[0] == 3
 
 
+@pytest.mark.parametrize(
+    "inst",
+    [
+        reduce_graph(gen_empty(3)),
+        reduce_graph(gen_crown(4)),
+        reduce_graph(gen_gnp(9, 0.4, 5)),
+        reduce_copies(CopiesInstance(gen_cycle(5), 3)),
+    ],
+    ids=["empty3", "crown4", "gnp9", "c5-t3"],
+)
+def test_reductions_are_canonical(inst):
+    assert math.gcd(inst.scale, *(e for row in inst.rows for e in row)) == 1
+    assert parse_vbp_text(format_vbp_text(inst)) == inst
+
+
 # ------------------------------------------------ subset-level equivalence
 
 
@@ -124,8 +158,8 @@ def test_subset_fits_iff_independent():
         inst = reduce_graph(g)
         for r in range(g.n + 1):
             for subset in combinations(range(1, g.n + 1), r):
-                items = [inst.items[v - 1] for v in subset]
-                assert fits_together(items, inst.d) == is_independent_set(g, subset)
+                rows = [inst.rows[v - 1] for v in subset]
+                assert fits_together(rows, inst.d, inst.scale) == is_independent_set(g, subset)
 
 
 def test_opt_equals_chi_small_exhaustive():
@@ -197,20 +231,20 @@ def test_opt_equals_blowup_chi():
 
 
 def test_adapter_single_vertex():
-    algo = vbp_algorithm_to_ccp_algorithm(FirstFitPacker())
+    algo = VbpBackedCcp(FirstFitPacker())
     algo.start(1, 2)
     assert algo.color_copies(1, frozenset()) == (0, 1)
 
 
 def test_adapter_empty_graph_reuses_bin():
-    algo = vbp_algorithm_to_ccp_algorithm(FirstFitPacker())
+    algo = VbpBackedCcp(FirstFitPacker())
     algo.start(2, 1)
     assert algo.color_copies(1, frozenset()) == (0,)
     assert algo.color_copies(2, frozenset()) == (0,)
 
 
 def test_adapter_k2_t2_four_colors():
-    algo = vbp_algorithm_to_ccp_algorithm(FirstFitPacker())
+    algo = VbpBackedCcp(FirstFitPacker())
     algo.start(2, 2)
     assert algo.color_copies(1, frozenset()) == (0, 1)
     assert algo.color_copies(2, frozenset({1})) == (2, 3)
@@ -220,7 +254,7 @@ def test_adapter_matches_first_fit_bin_count():
     for i in range(8):
         g = gen_gnp(5, 0.5, 25000 + i)
         t = 2
-        algo = vbp_algorithm_to_ccp_algorithm(FirstFitPacker())
+        algo = VbpBackedCcp(FirstFitPacker())
         algo.start(g.n, t)
         coloring = {}
         for ev in events_from_graph(g):
@@ -232,17 +266,44 @@ def test_adapter_matches_first_fit_bin_count():
         assert len(set(coloring.values())) == ff_bins
 
 
+@pytest.mark.parametrize("bin_index", ["0", 0.0, None])
+def test_adapter_rejects_non_integer_bin(bin_index):
+    class StrayPacker:
+        def start(self, d, capacity):
+            pass
+
+        def place(self, row):
+            return bin_index
+
+    algo = VbpBackedCcp(StrayPacker())
+    algo.start(2, 1)
+    with pytest.raises(ProtocolError):
+        algo.color_copies(1, frozenset())
+
+
+@pytest.mark.parametrize(
+    "graph, t",
+    [(gen_crown(8), 64), (gen_gnp(30, 0.3, 7), 16)],
+    ids=["crown8-t64", "gnp30-t16"],
+)
+def test_first_fit_through_adapter_reproduces_greedy_ccp(graph, t):
+    seed = 11
+    via_packer = run_algorithm_b(graph.n, events_from_graph(graph), VbpBackedCcp(FirstFitPacker()), t, seed)
+    via_greedy = run_algorithm_b(graph.n, events_from_graph(graph), GreedyCcp(), t, seed)
+    assert via_packer == via_greedy
+
+
 def test_adapter_surfaces_bad_packer():
     class BrokenPacker:
         deterministic = True
 
-        def start(self, d):
+        def start(self, d, capacity):
             pass
 
         def place(self, coords):
             return 0  # everything into bin 0, eventually infeasible
 
-    algo = vbp_algorithm_to_ccp_algorithm(BrokenPacker())
+    algo = VbpBackedCcp(BrokenPacker())
     algo.start(2, 1)
     algo.color_copies(1, frozenset())
     with pytest.raises(ProtocolError):

@@ -74,11 +74,8 @@ def test_fault_injection_names_broken_invariant():
     # zeroing the first coordinate lets adjacent items share a bin
     def corrupted(graph):
         inst = reduce_graph(graph)
-        dropped = tuple(
-            tuple(0 if j == 0 else c for j, c in enumerate(item))
-            for item in inst.items
-        )
-        return type(inst)(d=inst.d, items=dropped)
+        dropped = (tuple(0 if j == 0 else e for j, e in enumerate(row)) for row in inst.rows)
+        return type(inst).from_rows(inst.d, inst.scale, dropped)
 
     report = run_verification_suite(max_n=3, samples=5, seed=0, reduction=corrupted)
     assert not report.passed
@@ -94,10 +91,8 @@ def test_fault_injection_heavy_back_edges():
     # neighbor collide even when independent: opt jumps past chi
     def corrupted(graph):
         inst = reduce_graph(graph)
-        heavy = tuple(
-            tuple(1 if c != 0 else 0 for c in item) for item in inst.items
-        )
-        return type(inst)(d=inst.d, items=heavy)
+        heavy = (tuple(inst.scale if e != 0 else 0 for e in row) for row in inst.rows)
+        return type(inst).from_rows(inst.d, inst.scale, heavy)
 
     report = run_verification_suite(max_n=3, samples=5, seed=0, reduction=corrupted)
     failing = {r.name for r in report.results if not r.ok}

@@ -219,7 +219,16 @@ def check_sandwich(
     )
     chi_t, _ = chromatic_number_copies_exact(inst, limit=color_limit)
     chi, _ = chromatic_number_exact(inst.base, limit=color_limit)
-    ratio = Fraction(chi_t, inst.t)
+    return sandwich_report(chi_f, chi_t, inst.t, chi)
+
+
+def sandwich_report(chi_f: Fraction, chi_t: int, t: int, chi: int) -> SandwichReport:
+    """The chain chi_f(G) <= chi(G^t)/t <= chi(G) from its three values.
+
+    Lets a caller that checks several t on one graph compute chi_f(G) and
+    chi(G) once.
+    """
+    ratio = Fraction(chi_t, t)
     return SandwichReport(
         chi_f=chi_f,
         chi_t_over_t=ratio,

@@ -7,6 +7,18 @@ number of vertices nor a VBP instance's capacity `scale`.
 
 Both kernels take a feasible incumbent that seeds the upper bound and a
 proven lower bound used to stop the search as soon as it is matched.
+
+Both branch by saturation (DSATUR; Brélaz, CACM 1979): each node branches
+on the most constrained vertex or item left, and a vertex or item may open
+at most one new color or bin, which removes label-permutation symmetry.
+Each kernel also breaks one input symmetry. Members of a class of
+interchangeable vertices or items are placed in index order, each at or
+above its predecessor's color or bin. This loses no optimum: permuting the
+class's unplaced members so that their colors or bins rise with the index
+maps any completion of a node to one the rule allows, and relabeling the
+unused colors or bins, which the open-one-new rule needs, keeps that order.
+Class members always tie under the branching rule, so the lowest-index tie
+break already reaches them in index order.
 """
 
 from __future__ import annotations
@@ -19,9 +31,16 @@ def chromatic_bnb(adj: list[list[int]], lb: int, incumbent: list[int]) -> tuple[
     """Minimum proper coloring of a graph by branch and bound.
 
     adj is a 0-based adjacency list; incumbent a feasible coloring (colors
-    0..k-1). Vertices are branched in degree-descending order (ties by
-    index) and a vertex may introduce at most one new color, which removes
-    color-permutation symmetry. Returns (chi, coloring).
+    0..k-1). Each node branches on the uncolored vertex with the most
+    distinct neighbour colors, ties broken by degree, then by lowest index.
+    Per-vertex counts of neighbours of each color keep that saturation up
+    to date as vertices are colored and uncolored.
+
+    True twins (equal closed neighbourhoods N[v], as the copies of one
+    vertex in a blow-up are) are interchangeable and pairwise adjacent, so
+    each twin takes a color above its previous twin's. False twins (equal
+    open neighbourhoods) get no rule: they may share a color.
+    Returns (chi, coloring).
     """
     n = len(adj)
     if n == 0:
@@ -31,28 +50,54 @@ def chromatic_bnb(adj: list[list[int]], lb: int, incumbent: list[int]) -> tuple[
     if best == lb:
         return best, best_colors
 
+    # Scanning in degree-descending order and keeping the first maximum
+    # breaks saturation ties by degree, then by index.
     order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
-    colors = [-1] * n
+    prev_twin = [-1] * n
+    last: dict[frozenset[int], int] = {}
+    for v in range(n):
+        closed = frozenset(adj[v]).union((v,))
+        prev_twin[v] = last.get(closed, -1)
+        last[closed] = v
 
-    def dfs(idx: int, used: int) -> None:
+    colors = [-1] * n
+    forbid = [0] * n                          # bit c: a neighbour has color c
+    sat = [0] * n                             # set bits of forbid
+    seen = [[0] * best for _ in range(n)]     # seen[u][c]: neighbours of u colored c
+
+    def dfs(depth: int, used: int) -> None:
         nonlocal best, best_colors
         if used >= best or best == lb:
             return
-        if idx == n:
+        if depth == n:
             best = used
             best_colors = colors.copy()
             return
-        v = order[idx]
-        forbid = 0
-        for u in adj[v]:
-            cu = colors[u]
-            if cu >= 0:
-                forbid |= 1 << cu
-        c = 0
+        v = top = -1
+        for u in order:
+            if colors[u] < 0 and sat[u] > top:
+                v, top = u, sat[u]
+        p = prev_twin[v]
+        c = colors[p] + 1 if p >= 0 else 0
+        bad = forbid[v]
+        nbrs = adj[v]
         while c <= used and c <= best - 2:
-            if not (forbid >> c) & 1:
+            if not (bad >> c) & 1:
+                bit = 1 << c
                 colors[v] = c
-                dfs(idx + 1, used if c < used else used + 1)
+                for u in nbrs:
+                    row = seen[u]
+                    row[c] += 1
+                    if row[c] == 1:
+                        forbid[u] |= bit
+                        sat[u] += 1
+                dfs(depth + 1, used if c < used else used + 1)
+                for u in nbrs:
+                    row = seen[u]
+                    row[c] -= 1
+                    if row[c] == 0:
+                        forbid[u] ^= bit
+                        sat[u] -= 1
                 colors[v] = -1
                 if best == lb:
                     return
@@ -70,11 +115,14 @@ def packing_bnb(
 ) -> tuple[int, list[int]]:
     """Minimum-bin vector packing by branch and bound.
 
-    items are a VbpInstance's int rows and capacity its `scale`, so
-    feasibility is exact integer arithmetic. Pruning: a bin may only be opened as bin k+1 when
-    bins 1..k are in use, and an item identical to its predecessor never
-    goes to a lower-indexed bin than that predecessor. Returns
-    (bin_count, assignment).
+    items are a VbpInstance's int rows (entries in 0..capacity) and
+    capacity its `scale`, so feasibility is exact integer arithmetic. Each
+    node branches on the unplaced item that fits in the fewest open bins,
+    ties broken by lowest position; an item that fits in no open bin ends
+    the scan. Identical items are interchangeable, so each run of equal
+    adjacent rows is placed in index order into non-decreasing bins. The
+    rule sees only adjacent rows: callers group equal rows (opt_exact's
+    sort does) for it to cover them all. Returns (bin_count, assignment).
     """
     n = len(items)
     if n == 0:
@@ -85,47 +133,63 @@ def packing_bnb(
     if best == lb:
         return best, best_assign
 
-    same_prev = [i > 0 and items[i] == items[i - 1] for i in range(n)]
-    assign = [-1] * n
-    loads = [[0] * d for _ in range(n)]
+    # A row is one int with a field of `width` bits per coordinate. The
+    # offset lifts a field to at least `half` exactly when load + item
+    # exceeds capacity there, and a field never carries into the next.
+    width = capacity.bit_length() + 1
+    half = 1 << (width - 1)
+    ones = sum(1 << (j * width) for j in range(d))
+    high = ones * half
+    offset = ones * (half - 1 - capacity)
+    packed = [sum(x << (j * width) for j, x in enumerate(w)) for w in items]
+    lifted = [w + offset for w in packed]
+    prev_same = [i - 1 if i > 0 and items[i] == items[i - 1] else -1 for i in range(n)]
 
-    def dfs(idx: int, used: int) -> None:
+    assign = [-1] * n
+    loads = [0] * n
+
+    def dfs(placed: int, used: int) -> None:
         nonlocal best, best_assign
         if used >= best or best == lb:
             return
-        if idx == n:
+        if placed == n:
             best = used
             best_assign = assign.copy()
             return
-        w = items[idx]
-        start = assign[idx - 1] if same_prev[idx] else 0
-        for b in range(start, used):
-            load = loads[b]
-            ok = True
-            for j in range(d):
-                if load[j] + w[j] > capacity:
-                    ok = False
-                    break
-            if not ok:
+        i = -1
+        fewest = used + 1
+        for k in range(n):
+            if assign[k] >= 0:
                 continue
-            for j in range(d):
-                load[j] += w[j]
-            assign[idx] = b
-            dfs(idx + 1, used)
-            for j in range(d):
-                load[j] -= w[j]
+            w = lifted[k]
+            fits = 0
+            for b in range(used):
+                if not (loads[b] + w) & high:
+                    fits += 1
+                    if fits >= fewest:
+                        break
+            if fits < fewest:
+                i, fewest = k, fits
+                if fits == 0:
+                    break
+        w = lifted[i]
+        p = prev_same[i]
+        for b in range(assign[p] if p >= 0 else 0, used):
+            if (loads[b] + w) & high:
+                continue
+            loads[b] += packed[i]
+            assign[i] = b
+            dfs(placed + 1, used)
+            loads[b] -= packed[i]
+            assign[i] = -1
             if best == lb:
-                assign[idx] = -1
                 return
         if used + 1 < best:
-            load = loads[used]
-            for j in range(d):
-                load[j] += w[j]
-            assign[idx] = used
-            dfs(idx + 1, used + 1)
-            for j in range(d):
-                load[j] -= w[j]
-        assign[idx] = -1
+            loads[used] = packed[i]
+            assign[i] = used
+            dfs(placed + 1, used + 1)
+            loads[used] = 0
+            assign[i] = -1
 
     dfs(0, 0)
     return best, best_assign

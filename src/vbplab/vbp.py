@@ -195,10 +195,13 @@ def lower_bound(inst: VbpInstance) -> int:
 def opt_exact(inst: VbpInstance, limit: int = DEFAULT_EXACT_PACK_LIMIT) -> tuple[int, PackingState]:
     """Minimum bin count with a witness packing, by exact branch and bound.
 
-    The kernel works on the int rows, with capacity `scale`.
-    Search order: max coordinate then coordinate sum, both descending,
-    which also groups identical items for symmetry pruning. First-Fit on
-    that order seeds the upper bound and `lower_bound` the lower one.
+    The kernel works on the int rows, with capacity `scale`, sorted by max
+    coordinate then coordinate sum, both descending. That order is
+    First-Fit's, whose bin count seeds the upper bound (`lower_bound` seeds
+    the lower one); it breaks the kernel's ties between equally
+    constrained items, so the search starts from the largest; and it puts
+    equal rows next to each other, which the kernel's identical-item rule
+    needs.
     """
     if inst.n > limit:
         raise ResourceLimitError(

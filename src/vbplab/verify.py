@@ -23,8 +23,8 @@ from .copies import (
     CopiesInstance,
     GreedyCcp,
     chromatic_number_copies_exact,
-    check_sandwich,
     fractional_coloring_from_copies,
+    sandwich_report,
 )
 from .errors import InputError
 from .generators import all_connected_graphs, all_graphs, gen_crown, gen_cycle, gen_gnp
@@ -32,6 +32,7 @@ from .graphs import (
     Graph,
     chromatic_number_exact,
     events_from_graph,
+    fractional_chromatic_exact,
     greedy_online_coloring,
     is_independent_set,
     validate_coloring,
@@ -147,9 +148,12 @@ def check_sandwich_chain(graphs: Iterable[Graph], ts: Sequence[int] = (1, 2, 3))
     failures = []
     count = 0
     for g in graphs:
+        chi_f, _ = fractional_chromatic_exact(g)
+        chi, _ = chromatic_number_exact(g)
         for t in ts:
             count += 1
-            report = check_sandwich(CopiesInstance(g, t))
+            chi_t, _ = chromatic_number_copies_exact(CopiesInstance(g, t))
+            report = sandwich_report(chi_f, chi_t, t, chi)
             if not report.holds:
                 failures.append(
                     f"sandwich violated at t={t}: {report.chi_f} <= "

@@ -28,6 +28,8 @@ from vbplab.graphs import (
     is_independent_set,
     validate_fractional_coloring,
 )
+from vbplab.reductions import reduce_copies
+from vbplab.vbp import opt_exact, validate_packing
 
 K1 = graph_from_edges(1, [])
 K2 = gen_complete(2)
@@ -176,16 +178,30 @@ def test_chromatic_copies_examples():
     assert chromatic_number_copies_exact(CopiesInstance(K2, 3))[0] == 6
     assert chromatic_number_copies_exact(CopiesInstance(K1, 5))[0] == 5
     assert chromatic_number_copies_exact(CopiesInstance(C5, 2))[0] == 5
+    # chi(C_{2k+1} blown up t times) = ceil(t(2k+1)/k); the copies of a
+    # vertex are true twins, which the coloring kernel orders
+    for n, t, chi_t in ((5, 4, 10), (7, 3, 7)):
+        inst = CopiesInstance(gen_cycle(n), t)
+        got, witness = chromatic_number_copies_exact(inst, limit=n * t)
+        assert got == chi_t
+        assert validate_copies_coloring(inst, witness) and len(set(witness.values())) == chi_t
 
 
 def test_chromatic_copies_matches_brute():
-    for i in range(6):
-        base = gen_gnp(3, 0.5, 10000 + i)
-        for t in (1, 2, 3):
-            inst = CopiesInstance(base, t)
-            chi_t, witness = chromatic_number_copies_exact(inst)
-            assert chi_t == brute_chromatic(blow_up_explicit(inst))
-            assert validate_copies_coloring(inst, witness)
+    # every graph on at most 3 vertices with t <= 3, then seeded G(6, 1/2)
+    # with t = 2; both exact oracles agree with plain backtracking
+    corpus = [(base, t) for n in (1, 2, 3) for base in all_graphs(n) for t in (1, 2, 3)]
+    corpus += [(gen_gnp(6, 0.5, 10000 + i), 2) for i in range(2)]
+    for base, t in corpus:
+        inst = CopiesInstance(base, t)
+        chi_t, witness = chromatic_number_copies_exact(inst)
+        assert chi_t == brute_chromatic(blow_up_explicit(inst))
+        assert validate_copies_coloring(inst, witness)
+        assert len(set(witness.values())) == chi_t
+        packed = reduce_copies(inst)
+        opt, packing = opt_exact(packed)
+        assert opt == chi_t == packing.num_bins
+        assert validate_packing(packed, packing)
 
 
 def test_chromatic_copies_t1_equals_chi():

@@ -1,8 +1,14 @@
 """The exact search kernels on edge inputs and through the oracles."""
 
+import random
+from fractions import Fraction
+
+import pytest
+
+from oracles import brute_opt_bins
 from vbplab import kernels
-from vbplab.generators import gen_cycle
-from vbplab.graphs import chromatic_number_exact
+from vbplab.generators import gen_crown, gen_cycle
+from vbplab.graphs import chromatic_number_exact, graph_from_edges, validate_coloring
 from vbplab.reductions import reduce_graph
 from vbplab.vbp import opt_exact
 
@@ -30,3 +36,69 @@ def test_pure_backend_passes_an_oracle_spot_check():
 def test_empty_inputs():
     assert kernels.chromatic_bnb([], 0, []) == (0, [])
     assert kernels.packing_bnb([], 1, 0, []) == (0, [])
+
+
+def _adj0(graph):
+    return [sorted(u - 1 for u in graph.adjacency[v]) for v in graph.vertices]
+
+
+def _proper(adj, colors):
+    return all(colors[u] != colors[v] for v in range(len(adj)) for u in adj[v])
+
+
+def _packs(items, capacity, assign, bins):
+    d = len(items[0])
+    return sorted(set(assign)) == list(range(bins)) and all(
+        sum(w[j] for w, b in zip(items, assign) if b == k) <= capacity
+        for k in range(bins) for j in range(d)
+    )
+
+
+K33 = graph_from_edges(6, [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)])
+K222 = graph_from_edges(6, [(u, v) for u in range(1, 7) for v in range(u + 1, 7) if (u + 1) // 2 != (v + 1) // 2])
+
+
+@pytest.mark.parametrize("graph, chi", [(gen_cycle(4), 2), (K33, 2), (K222, 3)], ids=["c4", "k33", "k222"])
+def test_false_twins_may_share_a_color(graph, chi):
+    # equal open neighbourhoods, pairwise non-adjacent: a twin rule keyed
+    # on N(v) instead of N[v] would force them apart
+    adj = _adj0(graph)
+    got, colors = kernels.chromatic_bnb(adj, 1, list(range(graph.n)))
+    assert got == chi and _proper(adj, colors) and len(set(colors)) == chi
+    got, coloring = chromatic_number_exact(graph)
+    assert got == chi and validate_coloring(graph, coloring)
+
+
+def test_packing_with_equal_rows_apart_matches_brute():
+    # the identical-item rule reads only adjacent rows; equal rows spread
+    # through the order must still reach the optimum
+    rng = random.Random(7)
+    for _ in range(40):
+        cap = rng.randint(2, 5)
+        pool = [tuple(rng.randint(0, cap) for _ in range(2)) for _ in range(2)]
+        items = [pool[i % 2] for i in range(rng.randint(3, 5))]
+        items.append(tuple(rng.randint(0, cap) for _ in range(2)))
+        rng.shuffle(items)
+        want = brute_opt_bins([tuple(Fraction(x, cap) for x in w) for w in items], 2)
+        got, assign = kernels.packing_bnb(items, cap, 1, list(range(len(items))))
+        assert got == want and _packs(items, cap, assign, got)
+
+
+def test_kernels_prove_an_optimal_incumbent_above_lb():
+    c5 = _adj0(gen_cycle(5))
+    assert kernels.chromatic_bnb(c5, 2, [0, 1, 0, 1, 2]) == (3, [0, 1, 0, 1, 2])
+    items = [(2, 1), (2, 2), (2, 0)]   # no two share a bin of capacity 3; lb 2
+    assert kernels.packing_bnb(items, 3, 2, [0, 1, 2]) == (3, [0, 1, 2])
+
+
+def test_kernels_stop_at_lb_with_a_valid_witness():
+    # a poor incumbent and a tight lb: the search returns as soon as it
+    # meets lb, and what it returns must be a full witness
+    for graph, chi in ((gen_cycle(7), 3), (K222, 3), (gen_crown(5), 2)):
+        adj = _adj0(graph)
+        got, colors = kernels.chromatic_bnb(adj, chi, list(range(graph.n)))
+        assert got == chi and _proper(adj, colors) and len(set(colors)) == chi
+    inst = reduce_graph(gen_cycle(7))
+    opt = opt_exact(inst)[0]
+    got, assign = kernels.packing_bnb(inst.rows, inst.scale, opt, list(range(inst.n)))
+    assert got == opt == 3 and _packs(inst.rows, inst.scale, assign, got)

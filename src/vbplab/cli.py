@@ -35,14 +35,12 @@ from .generators import (
 from .graphs import (
     Graph,
     chromatic_number_exact,
-    events_from_graph,
     format_graph_text,
     greedy_online_coloring,
     parse_instance_text,
-    validate_coloring,
 )
 from .kernels import BACKEND
-from .pool import monte_carlo_verify, run_algorithm_b, sampling_probability
+from .pool import MonteCarloReport, monte_carlo_verify
 from .reductions import check_reduced_size, reduce_copies, reduce_graph
 from .rng import trial_seed
 from .vbp import (
@@ -230,36 +228,34 @@ def _run_first_fit(args, report: dict) -> int:
     return 0
 
 
-def _run_algorithm_b(args, report: dict) -> int:
+def _algorithm_b(args, report: dict, default_trials: int) -> MonteCarloReport:
+    """Seeded trials of algorithm B over GreedyCcp, one report row each."""
     graph, t = _load_graph(args)
     if not t:
         raise InputError("algorithm-b needs a copies parameter: add --t or a t line")
-    trials = args.trials or 1
-    per_trial = []
-    infeasible = 0
-    for i in range(trials):
-        coloring, stats = run_algorithm_b(
-            graph.n, events_from_graph(graph), GreedyCcp(), t, trial_seed(args.seed, i)
-        )
-        try:
-            validate_coloring(graph, coloring)
-        except InputError:
-            infeasible += 1
-        per_trial.append(
-            {"colors_b": stats.colors_b, "colors_a": stats.colors_a, "fails": stats.fails}
-        )
-    report["per_trial"] = per_trial
+    mc = monte_carlo_verify(
+        graph, GreedyCcp(), t, args.trials or default_trials, args.seed, jobs=args.jobs
+    )
+    report["per_trial"] = [
+        {"colors_b": cb, "colors_a": ca, "fails": fl}
+        for cb, ca, fl in zip(mc.colors_b_per_trial, mc.colors_a_per_trial, mc.fails_per_trial)
+    ]
+    return mc
+
+
+def _run_algorithm_b(args, report: dict) -> int:
+    mc = _algorithm_b(args, report, default_trials=1)
     report["aggregates"] = {
-        "mean_colors_b": sum(r["colors_b"] for r in per_trial) / trials,
-        "mean_colors_a": sum(r["colors_a"] for r in per_trial) / trials,
-        "fail_rate": sum(r["fails"] > 0 for r in per_trial) / trials,
-        "infeasible": infeasible,
-        "p": sampling_probability(graph.n, t),
-        "t": t,
-        "n": graph.n,
-        "trials": trials,
+        "mean_colors_b": mc.mean_colors_b,
+        "mean_colors_a": mc.mean_colors_a,
+        "fail_rate": mc.empirical_fail_rate,
+        "infeasible": mc.infeasible_trials,
+        "p": mc.p,
+        "t": mc.t,
+        "n": mc.graph_n,
+        "trials": mc.trials,
     }
-    return 1 if infeasible else 0
+    return 1 if mc.infeasible_trials else 0
 
 
 def cmd_run(args) -> int:
@@ -343,16 +339,7 @@ def _bench_first_fit(args, report: dict) -> int:
 
 
 def _bench_algorithm_b(args, report: dict) -> int:
-    graph, t = _load_graph(args)
-    if not t:
-        raise InputError("algorithm-b needs a copies parameter: add --t or a t line")
-    mc = monte_carlo_verify(
-        graph, GreedyCcp(), t, args.trials or 100, args.seed, jobs=args.jobs
-    )
-    report["per_trial"] = [
-        {"colors_b": cb, "colors_a": ca, "fails": fl}
-        for cb, ca, fl in zip(mc.colors_b_per_trial, mc.colors_a_per_trial, mc.fails_per_trial)
-    ]
+    mc = _algorithm_b(args, report, default_trials=100)
     report["rng"] = {
         "master_seed": mc.master_seed,
         "derivation": mc.seed_derivation,
@@ -372,7 +359,8 @@ def _bench_algorithm_b(args, report: dict) -> int:
         "n": mc.graph_n,
         "trials": mc.trials,
     }
-    return 0 if mc.bound_holds and mc.per_trial_invariant_ok else 1
+    ok = mc.bound_holds and mc.per_trial_invariant_ok and not mc.infeasible_trials
+    return 0 if ok else 1
 
 
 def cmd_bench(args) -> int:

@@ -22,7 +22,6 @@ from .errors import InputError, ResourceLimitError
 from .graphs import (
     Coloring,
     DEFAULT_EXACT_COLOR_LIMIT,
-    DEFAULT_EXACT_LP_LIMIT,
     FractionalColoring,
     Graph,
     chromatic_number_exact,
@@ -209,14 +208,10 @@ class SandwichReport:
 
 
 def check_sandwich(
-    inst: CopiesInstance,
-    color_limit: int = DEFAULT_EXACT_COLOR_LIMIT,
-    lp_limit: int | None = None,
+    inst: CopiesInstance, color_limit: int = DEFAULT_EXACT_COLOR_LIMIT
 ) -> SandwichReport:
     """Exact check of chi_f(G) <= chi(G^t)/t <= chi(G)."""
-    chi_f, _ = fractional_chromatic_exact(
-        inst.base, limit=DEFAULT_EXACT_LP_LIMIT if lp_limit is None else lp_limit
-    )
+    chi_f, _ = fractional_chromatic_exact(inst.base)
     chi_t, _ = chromatic_number_copies_exact(inst, limit=color_limit)
     chi, _ = chromatic_number_exact(inst.base, limit=color_limit)
     return sandwich_report(chi_f, chi_t, inst.t, chi)

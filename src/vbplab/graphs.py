@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Iterator
 
 from . import kernels, ratlp
 from .errors import InputError, ResourceLimitError
@@ -122,6 +122,23 @@ def events_from_graph(graph: Graph) -> list[OnlineVertexEvent]:
         OnlineVertexEvent(v, frozenset(u for u in graph.adjacency[v] if u < v))
         for v in graph.vertices
     ]
+
+
+def checked_events(n: int, events: Iterable[OnlineVertexEvent]) -> Iterator[OnlineVertexEvent]:
+    """Pass the events through, raising InputError unless they are vertices
+    1..n in order, each with back-edges to earlier vertices only."""
+    arrived = 0
+    for event in events:
+        v = event.vertex
+        if v != arrived + 1 or v > n:
+            raise InputError(f"events must be vertices 1..{n} in order: got {v} after {arrived}")
+        for u in event.back_edges:
+            if not 1 <= u < v:
+                raise InputError(f"back-edge {u} not earlier than vertex {v}")
+        arrived = v
+        yield event
+    if arrived != n:
+        raise InputError(f"events must be vertices 1..{n} in order: they end after {arrived}")
 
 
 def greedy_online_coloring(graph: Graph) -> Coloring:

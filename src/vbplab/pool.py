@@ -10,8 +10,10 @@ The simulation is deterministic given the seed: one uniform draw per new
 color of A, in first-use order (step order, ascending color id within a
 step), all taken by a single rng.random call. A never observes the pool, so
 B first drives A across the full arrival sequence recording a per-step
-trace, then runs the seeded pool phase over the trace; Monte-Carlo
-verification reuses a cached trace when A declares itself deterministic.
+trace, then runs the seeded pool phase over it. `_trial` is the one trial
+loop: a single run is one trial, and Monte-Carlo verification runs many over
+a cached trace when A declares itself deterministic. Each trial checks that
+B's coloring is proper.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import InputError, ProtocolError
-from .graphs import ColorId, Coloring, Graph, OnlineVertexEvent, events_from_graph
+from .graphs import ColorId, Coloring, Graph, checked_events, events_from_graph
 from .rng import GENERATOR_NAME, SEED_DERIVATION, Seed, make_rng, trial_seed
 
 _REL_TOL = 1e-12
@@ -44,37 +46,40 @@ def sampling_probability(n: int, t: int) -> float:
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    vertex: int
-    new_colors: int
-    candidates: int   # |P_i|, pooled colors among this vertex's copy colors
-    hit: bool
-    color: ColorId
-
-
-@dataclass(frozen=True)
 class SimulationStats:
     colors_a: int
     colors_b: int
     fails: int
     pool_size: int
     p: float
-    steps: tuple[StepRecord, ...]
+    feasible: bool   # no vertex shares B's color with an earlier neighbor
 
 
 @dataclass(frozen=True)
 class _TraceStep:
     vertex: int
+    back_mask: int                # bit u set for each earlier neighbor u
     copy_colors: tuple[int, ...]
-    new_colors: tuple[int, ...]   # sorted, first seen at this step
 
 
-def _record_trace(n, events, algo, t) -> list[_TraceStep]:
-    """Drive A over the arrival sequence, checking the protocol as we go."""
+@dataclass(frozen=True)
+class _Trace:
+    steps: tuple[_TraceStep, ...]
+    colors: tuple[int, ...]   # A's colors in first-use order: by step, ascending within one
+
+
+def _record_trace(n, events, algo, t) -> _Trace:
+    """Drive A over the arrival sequence, checking the protocol as we go.
+
+    The events are checked (vertices 1..n in order, back-edges to earlier
+    vertices only) before A sees any of them.
+    """
+    events = list(checked_events(n, events))
     algo.start(n, t)
     per_vertex: dict[int, set[int]] = {}
     seen: set[int] = set()
-    trace: list[_TraceStep] = []
+    first_use: list[int] = []
+    steps: list[_TraceStep] = []
     for ev in events:
         colors = tuple(algo.color_copies(ev.vertex, ev.back_edges))
         if len(colors) != t or len(set(colors)) != t:
@@ -91,27 +96,42 @@ def _record_trace(n, events, algo, t) -> list[_TraceStep]:
                     f"algorithm reused a neighbor's color at vertex {ev.vertex}"
                 )
         per_vertex[ev.vertex] = cset
-        new = tuple(sorted(cset - seen))
+        first_use += sorted(cset - seen)
         seen |= cset
-        trace.append(_TraceStep(ev.vertex, colors, new))
-    return trace
+        steps.append(_TraceStep(ev.vertex, sum(1 << u for u in ev.back_edges), colors))
+    return _Trace(tuple(steps), tuple(first_use))
 
 
-def _pool_phase(trace, p, rng) -> tuple[set[int], list[tuple[int, ColorId]]]:
+def _pool_phase(trace, p, rng) -> tuple[int, list[ColorId]]:
     """B's seeded pool phase over A's recorded trace.
 
     Every color of A is seen by the step that uses it, so the whole pool is
-    drawn up front. Returns the pool and, per step, the number of pooled
-    copy colors and B's color: the smallest of them, or the step's special
-    color when there is none.
+    drawn up front. Returns the pool's size and, per step, B's color: the
+    smallest pooled copy color, or the step's special color when there is
+    none.
     """
-    new = [c for ts in trace for c in ts.new_colors]
-    pool = set(compress(new, (rng.random(len(new)) < p).tolist()))
+    pool = set(compress(trace.colors, (rng.random(len(trace.colors)) < p).tolist()))
     picks = []
-    for step, ts in enumerate(trace, 1):
+    for step, ts in enumerate(trace.steps, 1):
         candidates = pool.intersection(ts.copy_colors)
-        picks.append((len(candidates), min(candidates) if candidates else special_color(step)))
-    return pool, picks
+        picks.append(min(candidates) if candidates else special_color(step))
+    return len(pool), picks
+
+
+def _trial(trace, p, seed) -> tuple[list[ColorId], tuple[int, int, int, int, bool]]:
+    """B's picks for one seed, and colors_B, colors_A, fails, pool size and
+    feasibility. One pass over the picks keeps each color class as a vertex
+    bitmask, so a clash with an earlier neighbor is one AND per step."""
+    pool_size, picks = _pool_phase(trace, p, make_rng(seed))
+    classes: dict[ColorId, int] = {}
+    fails = clash = 0
+    for ts, color in zip(trace.steps, picks):
+        if isinstance(color, str):
+            fails += 1
+        members = classes.get(color, 0)
+        clash |= members & ts.back_mask
+        classes[color] = members | 1 << ts.vertex
+    return picks, (len(classes), len(trace.colors), fails, pool_size, not clash)
 
 
 def run_algorithm_b(
@@ -124,30 +144,19 @@ def run_algorithm_b(
 ) -> tuple[Coloring, SimulationStats]:
     """One seeded simulation run; returns B's coloring and its statistics.
 
-    p defaults to min(1, 2 ln(n)/t). The output coloring is feasible for
-    the underlying graph whenever A honors the copies-coloring protocol
-    (violations raise ProtocolError).
+    p defaults to min(1, 2 ln(n)/t). The events must be vertices 1..n in
+    order with back-edges to earlier vertices only (else InputError). The
+    output coloring is feasible for the underlying graph whenever A honors
+    the copies-coloring protocol (violations raise ProtocolError).
     """
     if n < 1 or t < 1:
         raise InputError("need n >= 1 and t >= 1")
     if p is None:
         p = sampling_probability(n, t)
     trace = _record_trace(n, events, algo, t)
-    pool, picks = _pool_phase(trace, p, make_rng(seed))
-    coloring: Coloring = {}
-    records = []
-    for ts, (candidates, color) in zip(trace, picks):
-        coloring[ts.vertex] = color
-        records.append(StepRecord(ts.vertex, len(ts.new_colors), candidates, candidates > 0, color))
-    stats = SimulationStats(
-        colors_a=sum(len(ts.new_colors) for ts in trace),
-        colors_b=len(set(coloring.values())),
-        fails=sum(not rec.hit for rec in records),
-        pool_size=len(pool),
-        p=p,
-        steps=tuple(records),
-    )
-    return coloring, stats
+    picks, (colors_b, colors_a, fails, pool_size, feasible) = _trial(trace, p, seed)
+    coloring: Coloring = {ts.vertex: color for ts, color in zip(trace.steps, picks)}
+    return coloring, SimulationStats(colors_a, colors_b, fails, pool_size, p, feasible)
 
 
 @dataclass(frozen=True)
@@ -230,27 +239,15 @@ class MonteCarloReport:
     slack: float             # 3 standard errors of the difference statistic
     bound_holds: bool
     per_trial_invariant_ok: bool   # colors_B <= |pool| + fails in every trial
+    infeasible_trials: int         # trials where B's coloring is not proper
     colors_b_per_trial: tuple[int, ...]
     colors_a_per_trial: tuple[int, ...]
     fails_per_trial: tuple[int, ...]
 
 
-def _trial(trace, p, master_seed, trial) -> tuple[int, int, int, int]:
-    """colors_B, colors_A, fails and pool size of one trial's pool phase.
-
-    Trial i reproduces run_algorithm_b(seed=trial_seed(master_seed, i)).
-    """
-    pool, picks = _pool_phase(trace, p, make_rng(trial_seed(master_seed, trial)))
-    return (
-        len({color for _, color in picks}),
-        sum(len(ts.new_colors) for ts in trace),
-        sum(candidates == 0 for candidates, _ in picks),
-        len(pool),
-    )
-
-
-def _trial_range(trace, p, master_seed, start, stop) -> list[tuple[int, int, int, int]]:
-    return [_trial(trace, p, master_seed, i) for i in range(start, stop)]
+def _trial_range(trace, p, master_seed, start, stop) -> list[tuple[int, int, int, int, bool]]:
+    """Trial i reproduces run_algorithm_b(seed=trial_seed(master_seed, i))."""
+    return [_trial(trace, p, trial_seed(master_seed, i))[1] for i in range(start, stop)]
 
 
 def monte_carlo_verify(
@@ -265,7 +262,8 @@ def monte_carlo_verify(
 
     Checks mean colors_B <= mean|R(A)|*p + n*fail_rate + 3 standard errors
     (standard error of the per-trial difference), plus the exact per-trial
-    invariant colors_B <= |pool| + fails. Trials are independent streams,
+    invariant colors_B <= |pool| + fails, and counts the trials whose
+    coloring is not proper. Trials are independent streams,
     so jobs > 1 only parallelizes; aggregation is in trial order either way.
     """
     if trials < 1:
@@ -275,7 +273,7 @@ def monte_carlo_verify(
     events = events_from_graph(graph)
     if not getattr(algo, "deterministic", False):
         rows = [
-            _trial(_record_trace(n, events, algo, t), p, master_seed, i)
+            _trial(_record_trace(n, events, algo, t), p, trial_seed(master_seed, i))[1]
             for i in range(trials)
         ]
     else:
@@ -293,8 +291,8 @@ def monte_carlo_verify(
                 rows = [row for fut in futures for row in fut.result()]
         else:
             rows = _trial_range(trace, p, master_seed, 0, trials)
-    colors_b, colors_a, fails, _ = zip(*rows)
-    invariant_ok = all(b <= size + f for b, _, f, size in rows)
+    colors_b, colors_a, fails, _, feasible = zip(*rows)
+    invariant_ok = all(b <= size + f for b, _, f, size, _ in rows)
 
     cb = np.asarray(colors_b, dtype=float)
     ca = np.asarray(colors_a, dtype=float)
@@ -320,6 +318,7 @@ def monte_carlo_verify(
         slack=slack,
         bound_holds=lhs <= rhs + _REL_TOL * max(1.0, abs(rhs)),
         per_trial_invariant_ok=invariant_ok,
+        infeasible_trials=feasible.count(False),
         colors_b_per_trial=colors_b,
         colors_a_per_trial=colors_a,
         fails_per_trial=fails,

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 from .copies import CopiesColoring, CopiesInstance, validate_copies_coloring
 from .errors import InputError, ProtocolError, ResourceLimitError
-from .graphs import Graph, OnlineVertexEvent, events_from_graph
+from .graphs import Graph, OnlineVertexEvent, checked_events, events_from_graph
 from .vbp import PackingState, Row, VbpInstance, validate_packing
 
 MAX_REDUCED_COORDINATES = 2**24
@@ -32,8 +32,6 @@ def _reduced_vector(n: int, event: OnlineVertexEvent) -> Row:
     coords = [0] * n
     coords[i - 1] = n
     for j in event.back_edges:
-        if not 1 <= j < i:
-            raise InputError(f"back-edge {j} not earlier than vertex {i}")
         coords[j - 1] = 1
     return tuple(coords)
 
@@ -42,14 +40,8 @@ def coloring_to_vbp(n: int, events: Iterable[OnlineVertexEvent]) -> Iterator[Row
     """Stream of int rows over capacity n for the coloring reduction (d = n)."""
     if n < 1:
         raise InputError("need at least one vertex")
-    expected = 1
-    for event in events:
-        if event.vertex != expected:
-            raise InputError(f"events out of order: got vertex {event.vertex}, expected {expected}")
-        if event.vertex > n:
-            raise InputError(f"vertex {event.vertex} exceeds declared count {n}")
+    for event in checked_events(n, events):
         yield _reduced_vector(n, event)
-        expected += 1
 
 
 def ccp_to_vbp(n: int, t: int, events: Iterable[OnlineVertexEvent]) -> Iterator[Row]:

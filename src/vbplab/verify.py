@@ -49,6 +49,8 @@ from .vbp import (
 )
 
 FF_COMPETITIVE_SLOPE = Fraction(7, 10)   # First-Fit is (d + 0.7)-competitive
+FF_ORACLE_LIMIT = 10        # items up to which First-Fit is held to (d + 0.7) * Opt
+SANDWICH_TS = (1, 2, 3)     # copies per vertex in the sandwich chain
 
 
 @dataclass(frozen=True)
@@ -143,14 +145,14 @@ def check_subset_independence(
     return CheckResult("subset-independence", count, tuple(failures))
 
 
-def check_sandwich_chain(graphs: Iterable[Graph], ts: Sequence[int] = (1, 2, 3)) -> CheckResult:
+def check_sandwich_chain(graphs: Iterable[Graph]) -> CheckResult:
     """chi_f(G) <= chi(G^t)/t <= chi(G) as exact rationals."""
     failures = []
     count = 0
     for g in graphs:
         chi_f, _ = fractional_chromatic_exact(g)
         chi, _ = chromatic_number_exact(g)
-        for t in ts:
+        for t in SANDWICH_TS:
             count += 1
             chi_t, _ = chromatic_number_copies_exact(CopiesInstance(g, t))
             report = sandwich_report(chi_f, chi_t, t, chi)
@@ -215,7 +217,6 @@ def check_packing_coloring_roundtrip(
 def check_first_fit_correspondence(
     graphs: Iterable[Graph],
     reduction: Callable[[Graph], VbpInstance] = reduce_graph,
-    oracle_limit: int = 10,
 ) -> CheckResult:
     """FF bin count on the reduction equals greedy's color count; where the
 
@@ -235,7 +236,7 @@ def check_first_fit_correspondence(
             failures.append(
                 f"FF bins {packing.num_bins} != greedy colors {n_colors} on {_label(g)}"
             )
-        if inst.n <= oracle_limit:
+        if inst.n <= FF_ORACLE_LIMIT:
             opt, _ = opt_exact(inst)
             if packing.num_bins > (Fraction(inst.d) + FF_COMPETITIVE_SLOPE) * opt:
                 failures.append(

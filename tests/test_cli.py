@@ -1,11 +1,15 @@
 """CLI: subcommands, formats, exit codes, byte determinism."""
 
 import json
+import os
 
 import pytest
 
-from vbplab import cli, reductions
+from vbplab import cli, pool, reductions
 from vbplab.cli import main
+from vbplab.copies import GreedyCcp
+from vbplab.generators import gen_cycle
+from vbplab.graphs import events_from_graph
 
 
 def run_cli(capsys, *argv):
@@ -179,6 +183,53 @@ def test_run_algorithm_b(capsys):
     assert report["aggregates"]["infeasible"] == 0
 
 
+ALGORITHM_B_ARGS = ("--family", "crown", "--k", "4", "--t", "32", "--trials", "40", "--seed", "5")
+
+
+def test_run_and_bench_algorithm_b_share_trials(capsys):
+    _, run_out, _ = run_cli(capsys, "run", "algorithm-b", *ALGORITHM_B_ARGS)
+    _, bench_out, _ = run_cli(capsys, "bench", "algorithm-b", *ALGORITHM_B_ARGS)
+    run, bench = json.loads(run_out), json.loads(bench_out)
+    assert run["per_trial"] == bench["per_trial"]
+    shared = ("mean_colors_b", "mean_colors_a", "fail_rate", "p", "t", "n", "trials")
+    assert [run["aggregates"][k] for k in shared] == [bench["aggregates"][k] for k in shared]
+
+
+def test_run_algorithm_b_honours_jobs(monkeypatch, capsys, recording_executor):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    reports = []
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(capsys, "run", "algorithm-b", *ALGORITHM_B_ARGS, "--jobs", jobs)
+        assert code == 0
+        report = strip_time(out)
+        assert report["config"].pop("jobs") == int(jobs)
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert recording_executor == [2]
+
+
+def test_algorithm_b_counts_infeasible_trials(monkeypatch, capsys):
+    # B gives vertices 1, 3 and 6 of C6 a color of their own: 1 and 6 are
+    # adjacent, and 3, which is adjacent to neither, joins the class between
+    real = pool._pool_phase
+
+    def clashing_pool_phase(trace, p, rng):
+        size, picks = real(trace, p, rng)
+        picks[0] = picks[2] = picks[5] = -1
+        return size, picks
+
+    monkeypatch.setattr(pool, "_pool_phase", clashing_pool_phase)
+    g = gen_cycle(6)
+    assert pool.monte_carlo_verify(g, GreedyCcp(), 8, 7, 3).infeasible_trials == 7
+    assert not pool.run_algorithm_b(6, events_from_graph(g), GreedyCcp(), 8, 3)[1].feasible
+    argv = ("--family", "cycle", "--n", "6", "--t", "8", "--trials", "7", "--seed", "3")
+    code, out, _ = run_cli(capsys, "run", "algorithm-b", *argv)
+    assert code == 1 and json.loads(out)["aggregates"]["infeasible"] == 7
+    code, out, _ = run_cli(capsys, "bench", "algorithm-b", *argv)
+    agg = json.loads(out)["aggregates"]
+    assert code == 1 and agg["bound_holds"] and agg["invariant_ok"]
+
+
 def test_run_algorithm_b_needs_t(capsys):
     code, _, err = run_cli(capsys, "run", "algorithm-b", "--family", "cycle", "--n", "5")
     assert code == 2 and "--t" in err
@@ -294,7 +345,7 @@ def test_non_positive_counts_exit_2_before_any_work(monkeypatch, capsys, argv):
     def no_work(*args, **kwargs):
         raise AssertionError("ran despite a bad count")
 
-    for name in ("run_algorithm_b", "monte_carlo_verify", "_build_family", "_read_text"):
+    for name in ("monte_carlo_verify", "_build_family", "_read_text"):
         monkeypatch.setattr(cli, name, no_work)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "must be at least 1" in err

@@ -1,6 +1,5 @@
 """Pool-sampling simulation: determinism, feasibility, accounting bounds."""
 
-import concurrent.futures
 import math
 import os
 
@@ -9,7 +8,7 @@ import pytest
 from vbplab.copies import CopiesInstance, GreedyCcp, color_class_vertices, greedy_online_ccp
 from vbplab.errors import InputError, ProtocolError
 from vbplab.generators import gen_crown, gen_cycle, gen_gnp
-from vbplab.graphs import events_from_graph, validate_coloring
+from vbplab.graphs import OnlineVertexEvent, events_from_graph, validate_coloring
 from vbplab.pool import (
     expected_colors_bound,
     fail_probability_bound,
@@ -18,7 +17,9 @@ from vbplab.pool import (
     sampling_probability,
     special_color,
 )
+from vbplab.reductions import VbpBackedCcp
 from vbplab.rng import trial_seed
+from vbplab.vbp import FirstFitPacker
 
 
 def run_on(graph, t, seed, p=None):
@@ -83,11 +84,9 @@ def test_deterministic_given_seed():
 def test_feasible_including_failures():
     g = gen_gnp(8, 0.5, 28000)
     coloring, stats = run_on(g, 8, 3, p=0.05)  # low p forces some fails
-    assert validate_coloring(g, coloring)
+    assert validate_coloring(g, coloring) and stats.feasible
     specials = {v for v, c in coloring.items() if isinstance(c, str)}
-    assert len(specials) == sum(
-        1 for rec in stats.steps if not rec.hit
-    ) == stats.fails > 0
+    assert len(specials) == stats.fails > 0
 
 
 def test_all_fail_when_p_zero():
@@ -100,11 +99,9 @@ def test_all_fail_when_p_zero():
 def test_special_color_step_linkage():
     g = gen_gnp(8, 0.4, 30000)
     coloring, stats = run_on(g, 8, 11, p=0.1)
-    for rec in stats.steps:
-        if not rec.hit:
-            assert coloring[rec.vertex] == special_color(rec.vertex)
-        else:
-            assert not isinstance(rec.color, str)
+    failed = [v for v, c in coloring.items() if not isinstance(c, int)]
+    assert all(coloring[v] == special_color(v) for v in failed)
+    assert len(failed) == stats.fails
 
 
 def test_b_classes_inside_a_classes():
@@ -149,6 +146,26 @@ def test_protocol_error_on_bad_algorithm():
         run_algorithm_b(4, events_from_graph(g), WrongCount(), 3, 0)
     with pytest.raises(ProtocolError):
         run_algorithm_b(4, events_from_graph(g), RepeatsNeighbor(), 3, 0)
+
+
+E = OnlineVertexEvent
+MALFORMED_EVENTS = {
+    "forward-back-edge": (2, [E(1, frozenset({2})), E(2, frozenset())]),
+    "vertex-past-n": (2, [E(1, frozenset()), E(2, frozenset()), E(3, frozenset())]),
+    "repeated-vertex": (2, [E(1, frozenset()), E(1, frozenset())]),
+    "short-stream": (3, [E(1, frozenset()), E(2, frozenset({1}))]),
+}
+
+
+@pytest.mark.parametrize("make_algo", [GreedyCcp, lambda: VbpBackedCcp(FirstFitPacker())],
+                         ids=["greedy", "first-fit-packer"])
+@pytest.mark.parametrize("case", MALFORMED_EVENTS)
+def test_malformed_events_rejected_before_a_runs(case, make_algo):
+    n, events = MALFORMED_EVENTS[case]
+    algo = make_algo()
+    algo.color_copies = None  # A must not be asked to color anything
+    with pytest.raises(InputError):
+        run_algorithm_b(n, events, algo, 2, 0)
 
 
 # ------------------------------------------------------------------ bounds
@@ -221,7 +238,7 @@ def test_monte_carlo_single_trial():
 
 
 def test_monte_carlo_matches_sequential_runs():
-    # the vectorized trace-replay path must reproduce run_algorithm_b bit for bit
+    # trials over one cached trace must reproduce run_algorithm_b bit for bit
     g = gen_crown(4)
     master = 99
     rep = monte_carlo_verify(g, GreedyCcp(), 32, 20, master)
@@ -239,27 +256,8 @@ def test_monte_carlo_jobs_do_not_change_report():
     assert a == b
 
 
-def test_monte_carlo_workers_clamped_to_trials_and_cpus(monkeypatch):
-    # a stand-in executor runs the submitted ranges in this process and
-    # records the worker count it was asked for
-    started = []
-
-    class RecordingExecutor:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = concurrent.futures.Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+def test_monte_carlo_workers_clamped_to_trials_and_cpus(monkeypatch, recording_executor):
+    started = recording_executor
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     g = gen_crown(3)
     serial = monte_carlo_verify(g, GreedyCcp(), 16, 10, 7)

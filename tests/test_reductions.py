@@ -104,6 +104,12 @@ def test_rejects_out_of_order_events():
         list(coloring_to_vbp(2, events))
 
 
+def test_rejects_stream_short_of_n():
+    events = [OnlineVertexEvent(1, frozenset()), OnlineVertexEvent(2, frozenset({1}))]
+    with pytest.raises(InputError, match="end after 2"):
+        list(coloring_to_vbp(3, events))
+
+
 def test_ccp_reduction_emits_t_copies():
     inst = reduce_copies(CopiesInstance(gen_complete(2), 2))
     assert inst.items == (

@@ -18,7 +18,6 @@ from .copies import (
     chromatic_number_copies_exact,
     fractional_coloring_from_copies,
     greedy_online_ccp,
-    product_coloring,
     validate_copies_coloring,
 )
 from .errors import InputError, ProtocolError, ResourceLimitError
@@ -47,7 +46,6 @@ from .graphs import (
 )
 from .kernels import BACKEND
 from .pool import (
-    expected_colors_bound,
     fail_probability_bound,
     monte_carlo_verify,
     run_algorithm_b,
@@ -66,7 +64,6 @@ from .vbp import (
     FirstFitPacker,
     PackingState,
     VbpInstance,
-    competitive_gap,
     first_fit_online,
     lower_bound,
     make_instance,

@@ -20,7 +20,6 @@ from typing import Iterable
 
 from .errors import InputError, ResourceLimitError
 from .graphs import (
-    Coloring,
     DEFAULT_EXACT_COLOR_LIMIT,
     FractionalColoring,
     Graph,
@@ -142,22 +141,6 @@ def chromatic_number_copies_exact(
         ((vid - 1) // t + 1, (vid - 1) % t + 1): c for vid, c in coloring.items()
     }
     return chi, mapped
-
-
-def product_coloring(inst: CopiesInstance, base_coloring: Coloring) -> CopiesColoring:
-    """Extend a proper coloring of G to G^t with a fresh color set per copy index.
-
-    Copy (v, i) gets the pair color (g(v), i) flattened to g(v)*t + (i-1);
-    uses exactly t times the base color count.
-    """
-    palette = sorted(set(base_coloring.values()))
-    rank = {c: r for r, c in enumerate(palette)}
-    t = inst.t
-    return {
-        (v, i): rank[base_coloring[v]] * t + (i - 1)
-        for v in inst.base.vertices
-        for i in range(1, t + 1)
-    }
 
 
 class GreedyCcp:

@@ -12,9 +12,13 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .graphs import Graph, graph_from_edges, is_connected
 from .rng import Seed, make_rng
+
+# The largest graph a reduction takes with one copy per vertex (n*n <= 2^24);
+# gen_gnp refuses more before it builds its C(n, 2) pairs.
+MAX_GNP_VERTICES = 4096
 
 
 def gen_gnp(n: int, prob: float, seed: Seed) -> Graph:
@@ -23,6 +27,8 @@ def gen_gnp(n: int, prob: float, seed: Seed) -> Graph:
         raise InputError("need n >= 1")
     if not 0.0 <= prob <= 1.0:
         raise InputError("edge probability must be in [0, 1]")
+    if n > MAX_GNP_VERTICES:
+        raise ResourceLimitError(f"G(n, p) limited to {MAX_GNP_VERTICES} vertices, got n = {n}")
     pairs = list(combinations(range(1, n + 1), 2))
     if not pairs:
         return Graph(n=n, edges=frozenset())

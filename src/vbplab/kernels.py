@@ -3,7 +3,9 @@
 The two branch-and-bound searches behind the exact oracles: minimum
 coloring (graphs.chromatic_number_exact) and minimum-bin vector packing
 (vbp.opt_exact). Both run on plain Python ints, which bound neither the
-number of vertices nor a VBP instance's capacity `scale`.
+number of vertices nor a VBP instance's capacity `scale`. The packing
+kernel takes its rows and bin loads in the one packed-int form that
+`vbp.Lanes` defines, so its fit test is one add and one AND.
 
 Both kernels take a feasible incumbent that seeds the upper bound and a
 proven lower bound used to stop the search as soon as it is matched.
@@ -108,15 +110,17 @@ def chromatic_bnb(adj: list[list[int]], lb: int, incumbent: list[int]) -> tuple[
 
 
 def packing_bnb(
-    items: list[tuple[int, ...]],
-    capacity: int,
+    items: list[int],
+    guard: int,
+    empty: int,
     lb: int,
     incumbent: list[int],
 ) -> tuple[int, list[int]]:
     """Minimum-bin vector packing by branch and bound.
 
-    items are a VbpInstance's int rows (entries in 0..capacity) and
-    capacity its `scale`, so feasibility is exact integer arithmetic. Each
+    items are a VbpInstance's rows in its `vbp.Lanes` form, with that
+    form's guard mask and empty load: a bin's load is `empty` plus its
+    items, and an item fits iff load + item has no guard bit set. Each
     node branches on the unplaced item that fits in the fewest open bins,
     ties broken by lowest position; an item that fits in no open bin ends
     the scan. Identical items are interchangeable, so each run of equal
@@ -127,26 +131,15 @@ def packing_bnb(
     n = len(items)
     if n == 0:
         return 0, []
-    d = len(items[0])
     best = max(incumbent) + 1
     best_assign = list(incumbent)
     if best == lb:
         return best, best_assign
 
-    # A row is one int with a field of `width` bits per coordinate. The
-    # offset lifts a field to at least `half` exactly when load + item
-    # exceeds capacity there, and a field never carries into the next.
-    width = capacity.bit_length() + 1
-    half = 1 << (width - 1)
-    ones = sum(1 << (j * width) for j in range(d))
-    high = ones * half
-    offset = ones * (half - 1 - capacity)
-    packed = [sum(x << (j * width) for j, x in enumerate(w)) for w in items]
-    lifted = [w + offset for w in packed]
     prev_same = [i - 1 if i > 0 and items[i] == items[i - 1] else -1 for i in range(n)]
 
     assign = [-1] * n
-    loads = [0] * n
+    loads = [empty] * n
 
     def dfs(placed: int, used: int) -> None:
         nonlocal best, best_assign
@@ -161,10 +154,10 @@ def packing_bnb(
         for k in range(n):
             if assign[k] >= 0:
                 continue
-            w = lifted[k]
+            w = items[k]
             fits = 0
             for b in range(used):
-                if not (loads[b] + w) & high:
+                if not (loads[b] + w) & guard:
                     fits += 1
                     if fits >= fewest:
                         break
@@ -172,23 +165,23 @@ def packing_bnb(
                 i, fewest = k, fits
                 if fits == 0:
                     break
-        w = lifted[i]
+        w = items[i]
         p = prev_same[i]
         for b in range(assign[p] if p >= 0 else 0, used):
-            if (loads[b] + w) & high:
+            if (loads[b] + w) & guard:
                 continue
-            loads[b] += packed[i]
+            loads[b] += w
             assign[i] = b
             dfs(placed + 1, used)
-            loads[b] -= packed[i]
+            loads[b] -= w
             assign[i] = -1
             if best == lb:
                 return
         if used + 1 < best:
-            loads[used] = packed[i]
+            loads[used] += w
             assign[i] = used
             dfs(placed + 1, used + 1)
-            loads[used] = 0
+            loads[used] -= w
             assign[i] = -1
 
     dfs(0, 0)

@@ -192,37 +192,6 @@ def fail_probability_bound(n: int, t: int) -> FailBoundReport:
 
 
 @dataclass(frozen=True)
-class ExpectedColorsReport:
-    full_bound: float        # (alpha*t*chi + q_n) * (2 ln n)/t + 1
-    simplified_bound: float  # 2 ln(n)*alpha*chi + 3
-    holds: bool
-
-
-def expected_colors_bound(alpha, q_n, n: int, t: int, chi_g: int) -> ExpectedColorsReport:
-    """Expected-color accounting for B when A is (alpha, q(n))-competitive.
-
-    Requires t >= q_n * ln(n) (the reduction's choice of t); under it the
-    full expression collapses into the simplified 2 ln(n)*alpha*chi + 3.
-    """
-    if n < 1 or t < 1:
-        raise InputError("need n >= 1 and t >= 1")
-    alpha = float(alpha)
-    q_n = float(q_n)
-    log_n = math.log(n)
-    if t < q_n * log_n:
-        raise InputError(
-            f"hypothesis t >= q(n) ln(n) violated: t = {t} < {q_n * log_n:.6g}"
-        )
-    full = (alpha * t * chi_g + q_n) * (2.0 * log_n) / t + 1.0
-    simplified = 2.0 * log_n * alpha * chi_g + 3.0
-    return ExpectedColorsReport(
-        full_bound=full,
-        simplified_bound=simplified,
-        holds=full <= simplified * (1 + _REL_TOL) + _REL_TOL,
-    )
-
-
-@dataclass(frozen=True)
 class MonteCarloReport:
     graph_n: int
     t: int

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 from .copies import CopiesColoring, CopiesInstance, validate_copies_coloring
 from .errors import InputError, ProtocolError, ResourceLimitError
 from .graphs import Graph, OnlineVertexEvent, checked_events, events_from_graph
-from .vbp import PackingState, Row, VbpInstance, validate_packing
+from .vbp import Lanes, PackingState, Row, VbpInstance, validate_packing
 
 MAX_REDUCED_COORDINATES = 2**24
 
@@ -99,9 +99,9 @@ class VbpBackedCcp:
 
     Feeds each arriving vertex's t copies of its int row to the packer
     (start(n, n), then place(row) -> bin) and reports bin indices as
-    colors; colors used equals bins opened. Int shadow loads re-check every
-    placement so a misbehaving packer surfaces as a ProtocolError instead
-    of an invalid coloring.
+    colors; colors used equals bins opened. Shadow loads in the `Lanes`
+    form re-check every placement so a misbehaving packer surfaces as a
+    ProtocolError instead of an invalid coloring.
     """
 
     def __init__(self, packer):
@@ -112,10 +112,13 @@ class VbpBackedCcp:
         self.n = n
         self.t = t
         self.packer.start(n, n)
-        self._loads: list[list[int]] = []
+        self._lanes = Lanes(n, n)
+        self._loads: list[int] = []
 
     def color_copies(self, vertex: int, back_edges: frozenset[int]) -> tuple[int, ...]:
         row = _reduced_vector(self.n, OnlineVertexEvent(vertex, frozenset(back_edges)))
+        lanes = self._lanes
+        w = lanes.pack(row)
         colors = []
         for _ in range(self.t):
             b = self.packer.place(row)
@@ -124,10 +127,10 @@ class VbpBackedCcp:
             if not 0 <= b <= len(self._loads):
                 raise ProtocolError(f"packer placed into nonexistent bin {b}")
             if b == len(self._loads):
-                self._loads.append([0] * self.n)
-            load = self._loads[b]
-            if any(l + c > self.n for l, c in zip(load, row)):
+                self._loads.append(lanes.empty)
+            load = self._loads[b] + w
+            if load & lanes.guard:
                 raise ProtocolError(f"packer overfilled bin {b}")
-            self._loads[b] = [l + c for l, c in zip(load, row)]
+            self._loads[b] = load
             colors.append(b)
         return tuple(colors)

@@ -2,12 +2,12 @@
 
 An instance stores item coordinate c in [0,1] as the int c * scale, where
 `scale`, a bin's capacity, is the lcm of the reduced denominators (1 with
-no items), so equal instances have equal fields. Fit tests, First-Fit,
-packing validation, the lower bound and the exact optimum all add plain
-ints, so boundary sums like n * (1/n) land on the capacity exactly, never
-on 0.999... Fractions appear only at I/O: the `items` view,
-`make_instance`, the text format, and bin loads in reports (converted
-back once per bin).
+no items), so equal instances have equal fields and boundary sums like
+n * (1/n) land on the capacity exactly, never on 0.999... Every bin load is
+one int in the `Lanes` form, so each fit test in First-Fit, packing
+validation and the exact optimum's kernel is one add and one AND. Fractions
+appear only at I/O: the `items` view, `make_instance`, the text format, and
+bin loads in reports (unpacked once per bin).
 """
 
 from __future__ import annotations
@@ -38,6 +38,47 @@ def make_item(coords: Sequence) -> Vector:
     return tuple(out)
 
 
+class Lanes:
+    """The packed-int bin-load form for d coordinates over one capacity.
+
+    A row packs into one int with entry j in bits [j*width, (j+1)*width).
+    A load is `empty` plus the packed rows in the bin: `empty` lifts each
+    field by 2^(width-1) - 1 - capacity, so the field's top bit, set in the
+    `guard` mask, comes on exactly when its coordinate exceeds capacity. A
+    fitting load plus one row stays below 2^width in every field, so no
+    field carries into the next as long as no load over capacity takes
+    another add.
+    """
+
+    __slots__ = ("d", "capacity", "width", "guard", "empty", "_shifts")
+
+    def __init__(self, d: int, capacity: int):
+        if d < 1:
+            raise InputError("dimension must be >= 1")
+        self.d = d
+        self.capacity = capacity
+        self.width = capacity.bit_length() + 1
+        self._shifts = range(0, d * self.width, self.width)
+        ones = sum(1 << s for s in self._shifts)
+        half = 1 << (self.width - 1)
+        self.guard = ones * half
+        self.empty = ones * (half - 1 - capacity)
+
+    def pack(self, row: Row) -> int:
+        """The row as one int; rejects a wrong length or an entry outside 0..capacity."""
+        if len(row) != self.d:
+            raise InputError("dimension mismatch")
+        if min(row) < 0 or max(row) > self.capacity:
+            raise InputError(f"row entry outside 0..{self.capacity}")
+        return sum([x << s for x, s in zip(row, self._shifts) if x])
+
+    def unpack(self, load: int) -> Vector:
+        """A load back as Fractions of a unit bin."""
+        load -= self.empty
+        mask = (1 << self.width) - 1
+        return tuple(Fraction(load >> s & mask, self.capacity) for s in self._shifts)
+
+
 @dataclass(frozen=True)
 class VbpInstance:
     """Ordered d-dimensional int rows over capacity `scale`, in arrival order."""
@@ -62,11 +103,16 @@ class VbpInstance:
     @cached_property
     def items(self) -> tuple[Vector, ...]:
         """The rows as Fractions of a unit bin: the I/O view."""
-        return tuple(map(self.unscale, self.rows))
+        return tuple(tuple(Fraction(x, self.scale) for x in row) for row in self.rows)
 
-    def unscale(self, load: Sequence[int]) -> Vector:
-        """An integer load over `scale`, back as Fractions of a unit bin."""
-        return tuple(Fraction(x, self.scale) for x in load)
+    @cached_property
+    def lanes(self) -> Lanes:
+        return Lanes(self.d, self.scale)
+
+    @cached_property
+    def packed(self) -> tuple[int, ...]:
+        """The rows in the `lanes` form."""
+        return tuple(map(self.lanes.pack, self.rows))
 
 
 def make_instance(d: int, items: Iterable[Sequence]) -> VbpInstance:
@@ -82,17 +128,15 @@ def make_instance(d: int, items: Iterable[Sequence]) -> VbpInstance:
     return VbpInstance.from_rows(d, scale, [tuple(int(c * scale) for c in item) for item in validated])
 
 
-def _column_sums(rows: Sequence[Row], d: int) -> list[int]:
-    """Per-coordinate totals of the rows (zeros for no rows)."""
-    return [sum(column) for column in zip(*rows)] if rows else [0] * d
-
-
-def fits_together(rows: Iterable[Row], d: int, capacity: int) -> bool:
-    """True iff all given int rows can share one bin of the given capacity."""
-    rows = list(rows)
-    if any(len(row) != d for row in rows):
-        raise InputError("dimension mismatch")
-    return all(t <= capacity for t in _column_sums(rows, d))
+def fits_together(inst: VbpInstance, items: Iterable[int]) -> bool:
+    """True iff the items with these indices can share one bin of `inst`."""
+    packed, lanes = inst.packed, inst.lanes
+    load = lanes.empty
+    for i in items:
+        load += packed[i]
+        if load & lanes.guard:
+            return False
+    return True
 
 
 @dataclass
@@ -128,21 +172,17 @@ class FirstFitPacker:
     deterministic = True
 
     def start(self, d: int, capacity: int) -> None:
-        if d < 1:
-            raise InputError("dimension must be >= 1")
-        self.d = d
-        self.capacity = capacity
-        self.loads: list[list[int]] = []
+        self.lanes = Lanes(d, capacity)
+        self.loads: list[int] = []
 
     def place(self, row: Row) -> int:
-        if len(row) != self.d:
-            raise InputError("dimension mismatch")
-        capacity = self.capacity
+        lanes = self.lanes
+        w = lanes.pack(row)
         for b, load in enumerate(self.loads):
-            if all(l + c <= capacity for l, c in zip(load, row)):
-                self.loads[b] = [l + c for l, c in zip(load, row)]
+            if not (load + w) & lanes.guard:
+                self.loads[b] = load + w
                 return b
-        self.loads.append(list(row))
+        self.loads.append(lanes.empty + w)
         return len(self.loads) - 1
 
 
@@ -156,27 +196,30 @@ def first_fit_online(inst: VbpInstance) -> PackingState:
         if b == len(bins):
             bins.append([])
         bins[b].append(i)
-    return PackingState(
-        d=inst.d,
-        bins=[Bin(items=members, load=inst.unscale(packer.loads[b])) for b, members in enumerate(bins)],
-    )
+    loads = map(packer.lanes.unpack, packer.loads)
+    return PackingState(d=inst.d, bins=[Bin(members, load) for members, load in zip(bins, loads)])
 
 
 def validate_packing(inst: VbpInstance, packing: PackingState) -> bool:
-    """Exact check: items partitioned, stored loads consistent, capacity held."""
+    """Exact check: items partitioned, stored loads consistent, capacity held.
+
+    Rows join a bin's load one at a time, and the bin fails at the first
+    guard bit, before an overfull field could carry into the next.
+    """
     if packing.d != inst.d:
         return False
-    rows = inst.rows
+    packed, lanes = inst.packed, inst.lanes
     seen: set[int] = set()
     for bin_ in packing.bins:
+        load = lanes.empty
         for i in bin_.items:
             if i in seen or not 0 <= i < inst.n:
                 return False
             seen.add(i)
-        total = _column_sums([rows[i] for i in bin_.items], inst.d)
-        if inst.unscale(total) != tuple(bin_.load):
-            return False
-        if any(t > inst.scale for t in total):
+            load += packed[i]
+            if load & lanes.guard:
+                return False
+        if lanes.unpack(load) != tuple(bin_.load):
             return False
     return len(seen) == inst.n
 
@@ -188,20 +231,19 @@ def lower_bound(inst: VbpInstance) -> int:
     """
     if inst.n == 0:
         return 0
-    heaviest = max(_column_sums(inst.rows, inst.d))
+    heaviest = max(sum(column) for column in zip(*inst.rows))
     return max(1, -(-heaviest // inst.scale))
 
 
 def opt_exact(inst: VbpInstance, limit: int = DEFAULT_EXACT_PACK_LIMIT) -> tuple[int, PackingState]:
     """Minimum bin count with a witness packing, by exact branch and bound.
 
-    The kernel works on the int rows, with capacity `scale`, sorted by max
-    coordinate then coordinate sum, both descending. That order is
-    First-Fit's, whose bin count seeds the upper bound (`lower_bound` seeds
-    the lower one); it breaks the kernel's ties between equally
-    constrained items, so the search starts from the largest; and it puts
-    equal rows next to each other, which the kernel's identical-item rule
-    needs.
+    The kernel works on the packed rows, sorted by max coordinate then
+    coordinate sum, both descending. That order is First-Fit's, whose bin
+    count seeds the upper bound (`lower_bound` seeds the lower one); it
+    breaks the kernel's ties between equally constrained items, so the
+    search starts from the largest; and it puts equal rows next to each
+    other, which the kernel's identical-item rule needs.
     """
     if inst.n > limit:
         raise ResourceLimitError(
@@ -210,18 +252,19 @@ def opt_exact(inst: VbpInstance, limit: int = DEFAULT_EXACT_PACK_LIMIT) -> tuple
     if inst.n == 0:
         return 0, PackingState(d=inst.d, bins=[])
 
-    rows = inst.rows
+    rows, packed, lanes = inst.rows, inst.packed, inst.lanes
     order = sorted(
         range(inst.n),
         key=lambda i: (-max(rows[i]), -sum(rows[i]), rows[i], i),
     )
-    sorted_items = [rows[i] for i in order]
 
     packer = FirstFitPacker()
     packer.start(inst.d, inst.scale)
-    incumbent = [packer.place(w) for w in sorted_items]
+    incumbent = [packer.place(rows[i]) for i in order]
 
-    count, assign = kernels.packing_bnb(sorted_items, inst.scale, lower_bound(inst), incumbent)
+    count, assign = kernels.packing_bnb(
+        [packed[i] for i in order], lanes.guard, lanes.empty, lower_bound(inst), incumbent
+    )
 
     bins: list[list[int]] = [[] for _ in range(count)]
     for pos, b in enumerate(assign):
@@ -231,19 +274,12 @@ def opt_exact(inst: VbpInstance, limit: int = DEFAULT_EXACT_PACK_LIMIT) -> tuple
         bins=[
             Bin(
                 items=sorted(members),
-                load=inst.unscale(_column_sums([rows[i] for i in members], inst.d)),
+                load=lanes.unpack(sum((packed[i] for i in members), lanes.empty)),
             )
             for members in bins
         ],
     )
     return count, state
-
-
-def competitive_gap(alg_bins: int, opt_bins: int) -> Fraction:
-    """alg/opt as an exact rational."""
-    if opt_bins < 1:
-        raise InputError("optimal bin count must be >= 1")
-    return Fraction(alg_bins, opt_bins)
 
 
 # --- text format -----------------------------------------------------------

@@ -132,11 +132,10 @@ def check_subset_independence(
     for g in graphs:
         count += 1
         inst = reduction(g)
-        rows, scale = inst.rows, inst.scale
         verts = list(g.vertices)
         for r in range(len(verts) + 1):
             for subset in combinations(verts, r):
-                fits = fits_together([rows[v - 1] for v in subset], inst.d, scale)
+                fits = fits_together(inst, [v - 1 for v in subset])
                 indep = is_independent_set(g, subset)
                 if fits != indep:
                     failures.append(
@@ -262,18 +261,20 @@ def check_crown_gaps(ks: Sequence[int] = (3, 4, 5, 6)) -> CheckResult:
 def check_simulation_feasibility(
     graphs: Iterable[Graph], t: int, seed: int
 ) -> CheckResult:
-    """Every pool-sampling run yields a proper coloring of the base graph."""
+    """Every pool-sampling run reports itself feasible and properly colors the graph."""
     failures = []
     count = 0
     for i, g in enumerate(graphs):
         count += 1
-        coloring, _ = run_algorithm_b(
+        coloring, stats = run_algorithm_b(
             g.n, events_from_graph(g), GreedyCcp(), t, trial_seed(seed, i)
         )
         try:
             validate_coloring(g, coloring)
         except InputError as exc:
             failures.append(f"infeasible simulated coloring on {_label(g)}: {exc}")
+        if not stats.feasible:
+            failures.append(f"simulation reported infeasible on {_label(g)}")
     return CheckResult("simulation-feasibility", count, tuple(failures))
 
 

@@ -103,7 +103,7 @@ def test_criterion_02_subset_independence(capsys):
             verts = list(g.vertices)
             for r in range(len(verts) + 1):
                 for subset in combinations(verts, r):
-                    fits = fits_together([inst.rows[v - 1] for v in subset], inst.d, inst.scale)
+                    fits = fits_together(inst, [v - 1 for v in subset])
                     assert fits == is_independent_set(g, subset), subset
 
 

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from vbplab import cli, pool, reductions
+from vbplab import cli, generators, pool, reductions
 from vbplab.cli import main
 from vbplab.copies import GreedyCcp
 from vbplab.generators import gen_cycle
@@ -42,6 +42,15 @@ def test_gen_gnp_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "gen", "gnp", "--n", "6", "--p", "0.5", "--seed", "7")
     _, out2, _ = run_cli(capsys, "gen", "gnp", "--n", "6", "--p", "0.5", "--seed", "7")
     assert out1 == out2
+
+
+def test_gen_gnp_refuses_oversized_n_before_building(capsys, monkeypatch):
+    def no_pairs(*_):
+        raise AssertionError("pairs built before the size check")
+
+    monkeypatch.setattr(generators, "combinations", no_pairs)
+    code, out, err = run_cli(capsys, "gen", "gnp", "--n", "100000")
+    assert code == 3 and out == "" and "limited to 4096 vertices" in err
 
 
 def test_gen_missing_param_exits_2(capsys):

@@ -16,7 +16,6 @@ from vbplab.copies import (
     greedy_online_ccp,
     parse_copies_text,
     format_copies_text,
-    product_coloring,
     validate_copies_coloring,
 )
 from vbplab.errors import InputError, ResourceLimitError
@@ -236,23 +235,6 @@ def test_greedy_ccp_always_valid():
         for t in (1, 2, 4):
             inst = CopiesInstance(base, t)
             assert validate_copies_coloring(inst, greedy_online_ccp(inst))
-
-
-# ---------------------------------------------------------- product witness
-
-
-def test_product_coloring_bounds_blowup_chi():
-    # chi(G^t) <= t * chi(G), witnessed constructively
-    for i in range(8):
-        base = gen_gnp(5, 0.5, 13000 + i)
-        chi, g_color = chromatic_number_exact(base)
-        for t in (1, 2, 3):
-            inst = CopiesInstance(base, t)
-            witness = product_coloring(inst, g_color)
-            assert validate_copies_coloring(inst, witness)
-            assert len(set(witness.values())) == t * chi
-            if base.n * t <= 16:
-                assert chromatic_number_copies_exact(inst)[0] <= t * chi
 
 
 # ------------------------------------------------------------------ sandwich

@@ -10,7 +10,13 @@ from vbplab import kernels
 from vbplab.generators import gen_crown, gen_cycle
 from vbplab.graphs import chromatic_number_exact, graph_from_edges, validate_coloring
 from vbplab.reductions import reduce_graph
-from vbplab.vbp import opt_exact
+from vbplab.vbp import VbpInstance, opt_exact
+
+
+def _lanes(items, capacity):
+    """packing_bnb's first three arguments for int rows over `capacity`."""
+    inst = VbpInstance(d=len(items[0]) if items else 1, scale=capacity, rows=tuple(items))
+    return list(inst.packed), inst.lanes.guard, inst.lanes.empty
 
 
 def test_kernels_handle_unbounded_ints():
@@ -23,7 +29,7 @@ def test_kernels_handle_unbounded_ints():
     # a scaled capacity past 2^61: coordinates are unbounded ints
     cap = 2**62
     items = [(cap,), (cap,)]
-    bins, assign = kernels.packing_bnb(items, cap, 1, [0, 1])
+    bins, assign = kernels.packing_bnb(*_lanes(items, cap), 1, [0, 1])
     assert bins == 2 and sorted(assign) == [0, 1]
 
 
@@ -35,7 +41,7 @@ def test_pure_backend_passes_an_oracle_spot_check():
 
 def test_empty_inputs():
     assert kernels.chromatic_bnb([], 0, []) == (0, [])
-    assert kernels.packing_bnb([], 1, 0, []) == (0, [])
+    assert kernels.packing_bnb(*_lanes([], 1), 0, []) == (0, [])
 
 
 def _adj0(graph):
@@ -80,7 +86,7 @@ def test_packing_with_equal_rows_apart_matches_brute():
         items.append(tuple(rng.randint(0, cap) for _ in range(2)))
         rng.shuffle(items)
         want = brute_opt_bins([tuple(Fraction(x, cap) for x in w) for w in items], 2)
-        got, assign = kernels.packing_bnb(items, cap, 1, list(range(len(items))))
+        got, assign = kernels.packing_bnb(*_lanes(items, cap), 1, list(range(len(items))))
         assert got == want and _packs(items, cap, assign, got)
 
 
@@ -88,7 +94,7 @@ def test_kernels_prove_an_optimal_incumbent_above_lb():
     c5 = _adj0(gen_cycle(5))
     assert kernels.chromatic_bnb(c5, 2, [0, 1, 0, 1, 2]) == (3, [0, 1, 0, 1, 2])
     items = [(2, 1), (2, 2), (2, 0)]   # no two share a bin of capacity 3; lb 2
-    assert kernels.packing_bnb(items, 3, 2, [0, 1, 2]) == (3, [0, 1, 2])
+    assert kernels.packing_bnb(*_lanes(items, 3), 2, [0, 1, 2]) == (3, [0, 1, 2])
 
 
 def test_kernels_stop_at_lb_with_a_valid_witness():
@@ -100,5 +106,5 @@ def test_kernels_stop_at_lb_with_a_valid_witness():
         assert got == chi and _proper(adj, colors) and len(set(colors)) == chi
     inst = reduce_graph(gen_cycle(7))
     opt = opt_exact(inst)[0]
-    got, assign = kernels.packing_bnb(inst.rows, inst.scale, opt, list(range(inst.n)))
+    got, assign = kernels.packing_bnb(*_lanes(inst.rows, inst.scale), opt, list(range(inst.n)))
     assert got == opt == 3 and _packs(inst.rows, inst.scale, assign, got)

@@ -10,7 +10,6 @@ from vbplab.errors import InputError, ProtocolError
 from vbplab.generators import gen_crown, gen_cycle, gen_gnp
 from vbplab.graphs import OnlineVertexEvent, events_from_graph, validate_coloring
 from vbplab.pool import (
-    expected_colors_bound,
     fail_probability_bound,
     monte_carlo_verify,
     run_algorithm_b,
@@ -198,23 +197,6 @@ def test_fail_bound_grid():
 def test_fail_bound_rejects_n1():
     with pytest.raises(InputError):
         fail_probability_bound(1, 4)
-
-
-def test_expected_colors_simple():
-    r = expected_colors_bound(1, 0, 9, 5, 2)
-    assert r.full_bound == pytest.approx(2 * math.log(9) * 2 + 1, rel=1e-12)
-    assert r.holds
-
-
-def test_expected_colors_worked_example():
-    r = expected_colors_bound(2, 4, 16, 12, 3)  # t = ceil(4 ln 16) = 12
-    assert r.full_bound <= r.simplified_bound and r.holds
-    assert r.simplified_bound == pytest.approx(2 * math.log(16) * 2 * 3 + 3, rel=1e-12)
-
-
-def test_expected_colors_precondition():
-    with pytest.raises(InputError):
-        expected_colors_bound(1, 10, 16, 5, 2)  # t < q ln n
 
 
 # ------------------------------------------------------------- monte carlo

@@ -164,8 +164,7 @@ def test_subset_fits_iff_independent():
         inst = reduce_graph(g)
         for r in range(g.n + 1):
             for subset in combinations(range(1, g.n + 1), r):
-                rows = [inst.rows[v - 1] for v in subset]
-                assert fits_together(rows, inst.d, inst.scale) == is_independent_set(g, subset)
+                assert fits_together(inst, [v - 1 for v in subset]) == is_independent_set(g, subset)
 
 
 def test_opt_equals_chi_small_exhaustive():

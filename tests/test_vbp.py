@@ -14,9 +14,9 @@ from vbplab.reductions import reduce_graph
 from vbplab.rng import make_rng
 from vbplab.vbp import (
     Bin,
+    FirstFitPacker,
     PackingState,
     VbpInstance,
-    competitive_gap,
     first_fit_online,
     fits_together,
     format_vbp_text,
@@ -62,15 +62,68 @@ def test_make_item_bounds():
         make_item((F(-1, 2),))
 
 
+def rows_fit(rows, d, capacity):
+    """fits_together on these int rows as the items of one instance."""
+    return fits_together(VbpInstance(d=d, scale=capacity, rows=tuple(rows)), range(len(rows)))
+
+
 def test_fits_examples():
-    assert fits_together([(1, 0), (1, 2)], 2, 2)  # boundary 1 allowed
-    assert not fits_together([(3, 0), (4, 0)], 2, 6)
-    assert fits_together([(0,), (1,)], 1, 1)
+    assert rows_fit([(1, 0), (1, 2)], 2, 2)  # boundary 1 allowed
+    assert not rows_fit([(3, 0), (4, 0)], 2, 6)
+    assert rows_fit([(0,), (1,)], 1, 1)
 
 
 def test_fits_dimension_mismatch():
     with pytest.raises(InputError):
-        fits_together([(1,), (1, 0)], 1, 2)
+        rows_fit([(1,), (1, 0)], 1, 2)
+
+
+@pytest.mark.parametrize(
+    "d, capacity, row",
+    [(2, 3, (5, 0)), (1, 3, (-2,)), (1, 3, (4,))],
+    ids=["above-capacity", "negative", "one-above-capacity"],
+)
+def test_place_rejects_an_entry_outside_capacity(d, capacity, row):
+    packer = FirstFitPacker()
+    packer.start(d, capacity)
+    with pytest.raises(InputError):
+        packer.place(row)
+
+
+# Capacities at every lane width edge: 2^k - 1 fills its field's low bits,
+# 2^k needs one bit more, and 2^62 is past a machine word.
+LANE_CAPACITIES = st.one_of(
+    st.sampled_from((1, 2**62)),
+    st.integers(1, 62).flatmap(lambda k: st.sampled_from((2**k - 1, 2**k))),
+)
+
+
+@st.composite
+def lane_rows(draw):
+    """(d, capacity, rows); the last row may close every column at capacity or one unit above."""
+    capacity = draw(LANE_CAPACITIES)
+    d = draw(st.integers(1, 6))
+    entry = st.integers(0, capacity)
+    rows = draw(st.lists(st.tuples(*[entry] * d), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        closing = []
+        for j in range(d):
+            rest = capacity - sum(row[j] for row in rows)
+            bump = draw(st.integers(0, 1)) if 0 <= rest < capacity else 0
+            closing.append(rest + bump if rest >= 0 else draw(entry))
+        rows.append(tuple(closing))
+    return d, capacity, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=lane_rows())
+def test_lane_fit_test_matches_fraction_sums(case):
+    d, capacity, rows = case
+    inst = VbpInstance(d=d, scale=capacity, rows=tuple(rows))
+    for r in range(inst.n + 1):
+        for subset in combinations(range(inst.n), r):
+            items = [tuple(F(x, capacity) for x in rows[i]) for i in subset]
+            assert fits_together(inst, subset) == fraction_fits(items, d)
 
 
 def test_instance_requires_uniform_dimension():
@@ -127,6 +180,18 @@ def test_validate_rejects_overfull_bin():
     assert not validate_packing(inst, bad)
 
 
+def test_validate_rejects_a_bin_over_only_at_its_last_item():
+    # coordinate 0 runs 2, 3, 5 over capacity 4; coordinate 1 ends exactly on it
+    inst = VbpInstance(d=2, scale=4, rows=((2, 1), (1, 3), (2, 0)))
+    split = [Bin([0, 1], (F(3, 4), F(1))), Bin([2], (F(1, 2), F(0)))]
+    assert validate_packing(inst, PackingState(d=2, bins=split))
+    assert not validate_packing(inst, PackingState(d=2, bins=[Bin([0, 1, 2], (F(5, 4), F(1)))]))
+    # summed unchecked, four (1, 0) rows over capacity 1 would carry into
+    # the next lane and read back as the load (0, 1)
+    carried = VbpInstance(d=2, scale=1, rows=((1, 0),) * 4)
+    assert not validate_packing(carried, PackingState(d=2, bins=[Bin([0, 1, 2, 3], (F(0), F(1)))]))
+
+
 # ------------------------------------------------------------- exact oracle
 
 
@@ -162,7 +227,7 @@ def test_opt_matches_brute():
 def test_opt_one_bin_iff_all_fit_together():
     for i in range(20):
         inst = random_instance(5, 2, 19000 + i)
-        assert (opt_exact(inst)[0] == 1) == fits_together(inst.rows, inst.d, inst.scale)
+        assert (opt_exact(inst)[0] == 1) == fits_together(inst, range(inst.n))
 
 
 def test_first_fit_never_beats_opt_and_within_bound():
@@ -181,17 +246,6 @@ def test_opt_resource_limit():
 
 def test_opt_empty_instance():
     assert opt_exact(make_instance(2, []))[0] == 0
-
-
-# -------------------------------------------------------------------- gaps
-
-
-def test_competitive_gap_examples():
-    assert competitive_gap(3, 3) == 1
-    assert competitive_gap(6, 2) == 3
-    assert competitive_gap(7, 2) == F(7, 2)
-    with pytest.raises(InputError):
-        competitive_gap(3, 0)
 
 
 # -------------------------------------------------------------- text format
@@ -229,8 +283,8 @@ def test_roundtrip_and_monotone_property(n, d, seed):
         for idx in b.items:
             reduced = tuple(load[j] - rows[idx][j] for j in range(d))
             for other in range(n):
-                if fits_together([load, rows[other]], d, scale):
-                    assert fits_together([reduced, rows[other]], d, scale)
+                if rows_fit([load, rows[other]], d, scale):
+                    assert rows_fit([reduced, rows[other]], d, scale)
 
 
 # ------------------------------------------------------------ integer view
@@ -280,7 +334,7 @@ def test_first_fit_matches_fraction_oracle(inst):
 def test_fits_together_on_scaled_view_matches_fractions(inst):
     for r in range(inst.n + 1):
         for subset in combinations(range(inst.n), r):
-            on_ints = fits_together([inst.rows[i] for i in subset], inst.d, inst.scale)
+            on_ints = fits_together(inst, subset)
             on_fractions = fraction_fits([inst.items[i] for i in subset], inst.d)
             assert on_ints == on_fractions
 

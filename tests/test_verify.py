@@ -1,13 +1,16 @@
 """Verification-suite behavior: green on honest code, red on sabotage."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from vbplab import verify
-from vbplab.copies import CopiesInstance
+from vbplab.copies import CopiesInstance, GreedyCcp
 from vbplab.errors import InputError
 from vbplab.generators import gen_complete, gen_cycle, gen_path
+from vbplab.graphs import events_from_graph, validate_coloring
+from vbplab.pool import run_algorithm_b
 from vbplab.reductions import reduce_graph
 from vbplab.vbp import Bin, PackingState
 from vbplab.verify import (
@@ -112,3 +115,19 @@ def test_first_fit_check_reports_infeasible_packing(monkeypatch):
     result = check_first_fit_correspondence([gen_path(3)])
     assert not result.ok
     assert len(result.failures) == 1 and "infeasible" in result.failures[0]
+
+
+def test_simulation_check_reports_an_infeasible_flag(monkeypatch):
+    # a proper coloring does not cover a run that reports itself infeasible
+    graph = gen_path(3)
+
+    def flagged_infeasible(n, events, algo, t, seed):
+        coloring, stats = run_algorithm_b(n, events, algo, t, seed)
+        return coloring, dataclasses.replace(stats, feasible=False)
+
+    assert check_simulation_feasibility([graph], t=4, seed=0).ok
+    monkeypatch.setattr(verify, "run_algorithm_b", flagged_infeasible)
+    coloring, stats = verify.run_algorithm_b(graph.n, events_from_graph(graph), GreedyCcp(), 4, 0)
+    assert validate_coloring(graph, coloring) and not stats.feasible
+    result = check_simulation_feasibility([graph], t=4, seed=0)
+    assert result.failures == (f"simulation reported infeasible on n=3 edges={sorted(graph.edges)}",)

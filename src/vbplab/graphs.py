@@ -7,6 +7,10 @@ Online algorithms see a graph as `events_from_graph` presents it: each vertex
 with its edges to earlier vertices. The greedy baseline,
 `greedy_online_coloring`, colors in that order.
 
+Every vertex-set test (independence, connectivity, cliques, First-Fit
+coloring, maximal independent sets, the coloring kernel) reads one form,
+`Graph.masks`: bit u-1 of masks[v-1] is set iff u ~ v.
+
 The exact oracles (chromatic number, fractional chromatic number) are meant
 for small instances and refuse loudly above their size limits rather than
 silently blowing up.
@@ -45,10 +49,14 @@ class Graph:
             nbrs[v].add(u)
         return tuple(frozenset(s) for s in nbrs)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        if not 1 <= v <= self.n:
-            raise InputError(f"vertex {v} out of range 1..{self.n}")
-        return self.adjacency[v]
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Neighbour bitmasks, 0-based: bit u-1 of masks[v-1] is set iff u ~ v."""
+        masks = [0] * self.n
+        for u, v in self.edges:
+            masks[u - 1] |= 1 << (v - 1)
+            masks[v - 1] |= 1 << (u - 1)
+        return tuple(masks)
 
     @property
     def m(self) -> int:
@@ -75,14 +83,14 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def is_independent_set(graph: Graph, vertices: Iterable[int]) -> bool:
     """True iff no edge of the graph has both endpoints in the set."""
-    s = set(vertices)
-    for v in s:
+    masks = graph.masks
+    chosen = touched = 0
+    for v in vertices:
         if not 1 <= v <= graph.n:
             raise InputError(f"vertex {v} out of range 1..{graph.n}")
-    for v in s:
-        if graph.adjacency[v] & s:
-            return False
-    return True
+        chosen |= 1 << (v - 1)
+        touched |= masks[v - 1]
+    return not chosen & touched
 
 
 def validate_coloring(graph: Graph, coloring: Coloring) -> bool:
@@ -96,15 +104,14 @@ def validate_coloring(graph: Graph, coloring: Coloring) -> bool:
 def is_connected(graph: Graph) -> bool:
     if graph.n <= 1:
         return True
-    seen = {1}
-    stack = [1]
+    masks = graph.masks
+    seen = 1
+    stack = [0]
     while stack:
-        v = stack.pop()
-        for u in graph.adjacency[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == graph.n
+        new = masks[stack.pop()] & ~seen
+        seen |= new
+        stack.extend(kernels.bits(new))
+    return seen == (1 << graph.n) - 1
 
 
 # --- online arrival events -------------------------------------------------
@@ -144,45 +151,33 @@ def checked_events(n: int, events: Iterable[OnlineVertexEvent]) -> Iterator[Onli
 def greedy_online_coloring(graph: Graph) -> Coloring:
     """Online First-Fit coloring in arrival order: each vertex takes the
     smallest color unused by its earlier neighbors."""
-    out: Coloring = {}
-    for v in graph.vertices:
-        used = {out[u] for u in graph.adjacency[v] if u < v}
+    return dict(enumerate(_first_fit(graph.masks, range(graph.n)), 1))
+
+
+def _first_fit(masks: tuple[int, ...], order: Iterable[int]) -> list[int]:
+    """First-Fit coloring of 0-based vertices in `order`: each takes the
+    lowest color whose class, kept as one mask, holds none of its neighbours."""
+    colors = [0] * len(masks)
+    classes: list[int] = []
+    for v in order:
         c = 0
-        while c in used:
+        while c < len(classes) and classes[c] & masks[v]:
             c += 1
-        out[v] = c
-    return out
+        if c == len(classes):
+            classes.append(0)
+        classes[c] |= 1 << v
+        colors[v] = c
+    return colors
 
 
 # --- exact chromatic number ------------------------------------------------
 
-def _adjacency0(graph: Graph) -> list[list[int]]:
-    return [sorted(u - 1 for u in graph.adjacency[v]) for v in graph.vertices]
-
-
-def _greedy_clique_size(adj0: list[list[int]]) -> int:
-    n = len(adj0)
-    if n == 0:
-        return 0
-    adjsets = [set(a) for a in adj0]
-    clique: list[int] = []
-    for v in sorted(range(n), key=lambda w: (-len(adj0[w]), w)):
-        if all(u in adjsets[v] for u in clique):
-            clique.append(v)
-    return len(clique)
-
-
-def _greedy_assignment(adj0: list[list[int]]) -> list[int]:
-    # First-Fit in degree-descending order; only used to seed the search.
-    n = len(adj0)
-    col = [-1] * n
-    for v in sorted(range(n), key=lambda w: (-len(adj0[w]), w)):
-        used = {col[u] for u in adj0[v] if col[u] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        col[v] = c
-    return col
+def _greedy_clique_size(masks: tuple[int, ...], order: Iterable[int]) -> int:
+    clique = 0
+    for v in order:
+        if not clique & ~masks[v]:
+            clique |= 1 << v
+    return clique.bit_count()
 
 
 def chromatic_number_exact(
@@ -198,9 +193,11 @@ def chromatic_number_exact(
         )
     if graph.n == 0:
         return 0, {}
-    adj0 = _adjacency0(graph)
+    masks = graph.masks
+    # Degree-descending order, ties by index, for both greedy bounds.
+    order = sorted(range(graph.n), key=lambda v: (-masks[v].bit_count(), v))
     chi, colors = kernels.chromatic_bnb(
-        adj0, _greedy_clique_size(adj0), _greedy_assignment(adj0)
+        masks, _greedy_clique_size(masks, order), _first_fit(masks, order)
     )
     return chi, {v + 1: colors[v] for v in range(graph.n)}
 
@@ -238,35 +235,23 @@ def maximal_independent_sets(graph: Graph) -> list[frozenset[int]]:
         return []
     full = (1 << n) - 1
     # complement adjacency: candidates that can extend an independent set
-    comp = []
-    for v in range(n):
-        nb = 0
-        for u in graph.adjacency[v + 1]:
-            nb |= 1 << (u - 1)
-        comp.append(full & ~nb & ~(1 << v))
-
+    comp = [full & ~(nbrs | 1 << v) for v, nbrs in enumerate(graph.masks)]
     found: list[int] = []
-
-    def bits(mask: int):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
 
     def bk(r: int, p: int, x: int) -> None:
         if p == 0 and x == 0:
             found.append(r)
             return
-        pivot = max(bits(p | x), key=lambda w: (p & comp[w]).bit_count())
+        pivot = max(kernels.bits(p | x), key=lambda w: (p & comp[w]).bit_count())
         cand = p & ~comp[pivot]
-        for v in bits(cand):
+        for v in kernels.bits(cand):
             vb = 1 << v
             bk(r | vb, p & comp[v], x & comp[v])
             p &= ~vb
             x |= vb
 
     bk(0, full, 0)
-    sets = [frozenset(i + 1 for i in bits(mask)) for mask in found]
+    sets = [frozenset(i + 1 for i in kernels.bits(mask)) for mask in found]
     sets.sort(key=lambda s: tuple(sorted(s)))
     return sets
 

@@ -3,9 +3,10 @@
 The two branch-and-bound searches behind the exact oracles: minimum
 coloring (graphs.chromatic_number_exact) and minimum-bin vector packing
 (vbp.opt_exact). Both run on plain Python ints, which bound neither the
-number of vertices nor a VBP instance's capacity `scale`. The packing
-kernel takes its rows and bin loads in the one packed-int form that
-`vbp.Lanes` defines, so its fit test is one add and one AND.
+number of vertices nor a VBP instance's capacity `scale`. The coloring
+kernel takes a graph as the neighbour bitmasks of `graphs.Graph.masks`.
+The packing kernel takes its rows and bin loads in the one packed-int form
+that `vbp.Lanes` defines, so its fit test is one add and one AND.
 
 Both kernels take a feasible incumbent that seeds the upper bound and a
 proven lower bound used to stop the search as soon as it is matched.
@@ -25,26 +26,38 @@ break already reaches them in index order.
 
 from __future__ import annotations
 
+from typing import Iterator, Sequence
+
 # The one kernel implementation; `vbplab bench` reports carry this name.
 BACKEND = "pure-python"
 
 
-def chromatic_bnb(adj: list[list[int]], lb: int, incumbent: list[int]) -> tuple[int, list[int]]:
+def bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def chromatic_bnb(masks: Sequence[int], lb: int, incumbent: list[int]) -> tuple[int, list[int]]:
     """Minimum proper coloring of a graph by branch and bound.
 
-    adj is a 0-based adjacency list; incumbent a feasible coloring (colors
-    0..k-1). Each node branches on the uncolored vertex with the most
-    distinct neighbour colors, ties broken by degree, then by lowest index.
-    Per-vertex counts of neighbours of each color keep that saturation up
-    to date as vertices are colored and uncolored.
+    masks are 0-based neighbour bitmasks (bit u of masks[v] set iff u ~ v,
+    as `graphs.Graph.masks` holds them); incumbent a feasible coloring
+    (colors 0..k-1). Each node branches on the uncolored vertex with the
+    most distinct neighbour colors, ties broken by degree, then by lowest
+    index. Per-vertex counts of neighbours of each color keep that
+    saturation up to date as vertices are colored and uncolored.
 
-    True twins (equal closed neighbourhoods N[v], as the copies of one
-    vertex in a blow-up are) are interchangeable and pairwise adjacent, so
-    each twin takes a color above its previous twin's. False twins (equal
-    open neighbourhoods) get no rule: they may share a color.
+    True twins (equal closed neighbourhoods N[v], the int masks[v] | 1 << v,
+    as the copies of one vertex in a blow-up have) are interchangeable and
+    pairwise adjacent, so each twin takes a color above its previous
+    twin's. False twins (equal open neighbourhoods) get no rule: they may
+    share a color.
     Returns (chi, coloring).
     """
-    n = len(adj)
+    n = len(masks)
     if n == 0:
         return 0, []
     best = max(incumbent) + 1
@@ -54,11 +67,12 @@ def chromatic_bnb(adj: list[list[int]], lb: int, incumbent: list[int]) -> tuple[
 
     # Scanning in degree-descending order and keeping the first maximum
     # breaks saturation ties by degree, then by index.
-    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
+    order = sorted(range(n), key=lambda v: (-masks[v].bit_count(), v))
+    adj = [list(bits(m)) for m in masks]
     prev_twin = [-1] * n
-    last: dict[frozenset[int], int] = {}
+    last: dict[int, int] = {}
     for v in range(n):
-        closed = frozenset(adj[v]).union((v,))
+        closed = masks[v] | 1 << v
         prev_twin[v] = last.get(closed, -1)
         last[closed] = v
 

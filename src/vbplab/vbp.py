@@ -154,13 +154,16 @@ class PackingState:
     def num_bins(self) -> int:
         return len(self.bins)
 
-    def bin_of(self) -> dict[int, int]:
-        """Item index -> bin index (items packed in exactly one bin assumed)."""
-        out: dict[int, int] = {}
-        for b, bin_ in enumerate(self.bins):
-            for i in bin_.items:
-                out[i] = b
-        return out
+
+def _first_fit_step(lanes: Lanes, loads: list[int], w: int) -> int:
+    """Add the packed row w to the lowest-indexed load it fits in, opening
+    a new load if none; returns that load's index."""
+    for b, load in enumerate(loads):
+        if not (load + w) & lanes.guard:
+            loads[b] = load + w
+            return b
+    loads.append(lanes.empty + w)
+    return len(loads) - 1
 
 
 class FirstFitPacker:
@@ -176,28 +179,22 @@ class FirstFitPacker:
         self.loads: list[int] = []
 
     def place(self, row: Row) -> int:
-        lanes = self.lanes
-        w = lanes.pack(row)
-        for b, load in enumerate(self.loads):
-            if not (load + w) & lanes.guard:
-                self.loads[b] = load + w
-                return b
-        self.loads.append(lanes.empty + w)
-        return len(self.loads) - 1
+        return _first_fit_step(self.lanes, self.loads, self.lanes.pack(row))
 
 
 def first_fit_online(inst: VbpInstance) -> PackingState:
     """Deterministic First-Fit packing of the items in arrival order."""
-    packer = FirstFitPacker()
-    packer.start(inst.d, inst.scale)
+    lanes = inst.lanes
+    loads: list[int] = []
     bins: list[list[int]] = []
-    for i, row in enumerate(inst.rows):
-        b = packer.place(row)
+    for i, w in enumerate(inst.packed):
+        b = _first_fit_step(lanes, loads, w)
         if b == len(bins):
             bins.append([])
         bins[b].append(i)
-    loads = map(packer.lanes.unpack, packer.loads)
-    return PackingState(d=inst.d, bins=[Bin(members, load) for members, load in zip(bins, loads)])
+    return PackingState(
+        d=inst.d, bins=[Bin(members, lanes.unpack(load)) for members, load in zip(bins, loads)]
+    )
 
 
 def validate_packing(inst: VbpInstance, packing: PackingState) -> bool:
@@ -258,9 +255,8 @@ def opt_exact(inst: VbpInstance, limit: int = DEFAULT_EXACT_PACK_LIMIT) -> tuple
         key=lambda i: (-max(rows[i]), -sum(rows[i]), rows[i], i),
     )
 
-    packer = FirstFitPacker()
-    packer.start(inst.d, inst.scale)
-    incumbent = [packer.place(rows[i]) for i in order]
+    loads: list[int] = []
+    incumbent = [_first_fit_step(lanes, loads, packed[i]) for i in order]
 
     count, assign = kernels.packing_bnb(
         [packed[i] for i in order], lanes.guard, lanes.empty, lower_bound(inst), incumbent

@@ -100,6 +100,19 @@ def brute_is_independent(graph: Graph, subset) -> bool:
     return not any(u in s and v in s for u, v in graph.edges)
 
 
+def naive_greedy_coloring(graph: Graph) -> dict[int, int]:
+    """First-Fit in arrival order on neighbour sets: each vertex takes the
+    smallest color no earlier neighbour has."""
+    out: dict[int, int] = {}
+    for v in graph.vertices:
+        used = {out[u] for u in graph.adjacency[v] if u < v}
+        c = 0
+        while c in used:
+            c += 1
+        out[v] = c
+    return out
+
+
 def brute_maximal_independent_sets(graph: Graph) -> set[frozenset[int]]:
     """All maximal independent sets by filtering the full subset lattice."""
     verts = list(graph.vertices)

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 from oracles import (
     brute_chromatic,
     brute_maximal_independent_sets,
+    naive_greedy_coloring,
     odd_cycle_fractional_chi,
 )
 from vbplab.errors import InputError, ResourceLimitError
 from vbplab.generators import all_connected_graphs, all_graphs, gen_gnp
 from vbplab.graphs import (
     Graph,
+    _greedy_clique_size,
     chromatic_number_exact,
     events_from_graph,
     format_graph_text,
@@ -64,10 +67,19 @@ def test_empty_graph():
 
 
 def test_neighbors():
-    assert P3.neighbors(2) == frozenset({1, 3})
-    assert P3.neighbors(1) == frozenset({2})
-    with pytest.raises(InputError):
-        P3.neighbors(4)
+    assert P3.adjacency[2] == frozenset({1, 3})
+    assert P3.adjacency[1] == frozenset({2})
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([0, 1, 2, 5, 9, 33, 70]), data=st.data())
+def test_masks_agree_with_adjacency(n, data):
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), max_size=200)) if pairs else []
+    g = graph_from_edges(n, chosen)
+    assert len(g.masks) == n
+    for v in g.vertices:
+        assert g.masks[v - 1] == sum(1 << (u - 1) for u in g.adjacency[v])
 
 
 def test_events_from_graph_back_edges_only():
@@ -89,6 +101,15 @@ def test_independent_set_examples():
 def test_independent_set_rejects_bad_vertex():
     with pytest.raises(InputError):
         is_independent_set(P3, {0, 1})
+    with pytest.raises(InputError):
+        is_independent_set(P3, (v for v in (1, 2, 4)))  # an edge, then n + 1
+
+
+def test_independent_set_reads_a_generator_once():
+    # a one-shot iterator: a second pass over it would see no vertices
+    assert not is_independent_set(P3, (v for v in (1, 2)))
+    assert is_independent_set(C5, (v for v in (1, 3)))
+    assert not is_independent_set(C5, iter([1, 3, 4]))
 
 
 # ----------------------------------------------------------------- coloring
@@ -121,6 +142,13 @@ def test_greedy_crown6_uses_3_colors():
     assert chromatic_number_exact(g)[0] == 2
 
 
+def test_greedy_matches_set_first_fit_oracle():
+    graphs = [P3, K3, C5, complete(5), graph_from_edges(0, [])]
+    graphs += [gen_gnp(n, p, 300 + n) for n in range(1, 13) for p in (0.2, 0.5, 0.8)]
+    for g in graphs:
+        assert greedy_online_coloring(g) == naive_greedy_coloring(g)
+
+
 def test_greedy_always_feasible():
     for i in range(20):
         g = gen_gnp(8, 0.5, 1000 + i)
@@ -149,6 +177,20 @@ def test_chromatic_matches_brute_on_samples():
     for i in range(30):
         g = gen_gnp(8, 0.5, 2000 + i)
         assert chromatic_number_exact(g)[0] == brute_chromatic(g)
+
+
+def test_greedy_clique_bound_never_exceeds_the_largest_clique():
+    # chromatic_number_exact's lower bound: one above the largest clique
+    # could stop the search at a wrong chi
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            omega = max(
+                r for r in range(1, n + 1) for s in combinations(g.vertices, r)
+                if all(e in g.edges for e in combinations(s, 2))
+            )
+            size = _greedy_clique_size(g.masks, list(range(n)))
+            assert 1 <= size <= omega
+    assert _greedy_clique_size(complete(6).masks, list(range(6))) == 6
 
 
 def test_chromatic_resource_limit():

@@ -22,8 +22,8 @@ def _lanes(items, capacity):
 def test_kernels_handle_unbounded_ints():
     # 70 vertices: the graph size has no fixed-width cap
     n = 70
-    adj = [[] for _ in range(n)]
-    chi, colors = kernels.chromatic_bnb(adj, 1, [0] * n)
+    masks = [0] * n
+    chi, colors = kernels.chromatic_bnb(masks, 1, [0] * n)
     assert chi == 1 and set(colors) == {0}
 
     # a scaled capacity past 2^61: coordinates are unbounded ints
@@ -44,12 +44,9 @@ def test_empty_inputs():
     assert kernels.packing_bnb(*_lanes([], 1), 0, []) == (0, [])
 
 
-def _adj0(graph):
-    return [sorted(u - 1 for u in graph.adjacency[v]) for v in graph.vertices]
-
-
-def _proper(adj, colors):
-    return all(colors[u] != colors[v] for v in range(len(adj)) for u in adj[v])
+def _proper(masks, colors):
+    n = len(masks)
+    return all(colors[u] != colors[v] for v in range(n) for u in range(n) if masks[v] >> u & 1)
 
 
 def _packs(items, capacity, assign, bins):
@@ -68,9 +65,9 @@ K222 = graph_from_edges(6, [(u, v) for u in range(1, 7) for v in range(u + 1, 7)
 def test_false_twins_may_share_a_color(graph, chi):
     # equal open neighbourhoods, pairwise non-adjacent: a twin rule keyed
     # on N(v) instead of N[v] would force them apart
-    adj = _adj0(graph)
-    got, colors = kernels.chromatic_bnb(adj, 1, list(range(graph.n)))
-    assert got == chi and _proper(adj, colors) and len(set(colors)) == chi
+    masks = graph.masks
+    got, colors = kernels.chromatic_bnb(masks, 1, list(range(graph.n)))
+    assert got == chi and _proper(masks, colors) and len(set(colors)) == chi
     got, coloring = chromatic_number_exact(graph)
     assert got == chi and validate_coloring(graph, coloring)
 
@@ -91,7 +88,7 @@ def test_packing_with_equal_rows_apart_matches_brute():
 
 
 def test_kernels_prove_an_optimal_incumbent_above_lb():
-    c5 = _adj0(gen_cycle(5))
+    c5 = gen_cycle(5).masks
     assert kernels.chromatic_bnb(c5, 2, [0, 1, 0, 1, 2]) == (3, [0, 1, 0, 1, 2])
     items = [(2, 1), (2, 2), (2, 0)]   # no two share a bin of capacity 3; lb 2
     assert kernels.packing_bnb(*_lanes(items, 3), 2, [0, 1, 2]) == (3, [0, 1, 2])
@@ -101,9 +98,9 @@ def test_kernels_stop_at_lb_with_a_valid_witness():
     # a poor incumbent and a tight lb: the search returns as soon as it
     # meets lb, and what it returns must be a full witness
     for graph, chi in ((gen_cycle(7), 3), (K222, 3), (gen_crown(5), 2)):
-        adj = _adj0(graph)
-        got, colors = kernels.chromatic_bnb(adj, chi, list(range(graph.n)))
-        assert got == chi and _proper(adj, colors) and len(set(colors)) == chi
+        masks = graph.masks
+        got, colors = kernels.chromatic_bnb(masks, chi, list(range(graph.n)))
+        assert got == chi and _proper(masks, colors) and len(set(colors)) == chi
     inst = reduce_graph(gen_cycle(7))
     opt = opt_exact(inst)[0]
     got, assign = kernels.packing_bnb(*_lanes(inst.rows, inst.scale), opt, list(range(inst.n)))

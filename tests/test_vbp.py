@@ -159,7 +159,7 @@ def test_first_fit_lowest_index_rule():
     # second small item returns to bin 0 even though bin 1 also fits it
     inst = make_instance(1, [(F(2, 3),), (F(3, 4),), (F(1, 3),)])
     state = first_fit_online(inst)
-    assert state.bin_of()[2] == 0 and state.num_bins == 2
+    assert 2 in state.bins[0].items and state.num_bins == 2
 
 
 # ---------------------------------------------------------------- validation

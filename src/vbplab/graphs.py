@@ -251,6 +251,7 @@ def maximal_independent_sets(graph: Graph) -> list[frozenset[int]]:
             x |= vb
 
     bk(0, full, 0)
+    del bk
     sets = [frozenset(i + 1 for i in kernels.bits(mask)) for mask in found]
     sets.sort(key=lambda s: tuple(sorted(s)))
     return sets
@@ -274,10 +275,9 @@ def fractional_chromatic_exact(
     if graph.n == 0:
         return Fraction(0), FractionalColoring({})
     sets = maximal_independent_sets(graph)
-    one = Fraction(1)
     zero = Fraction(0)
-    a = [[one if v in s else zero for v in graph.vertices] for s in sets]
-    value, y, duals = ratlp.simplex_max([one] * graph.n, a, [one] * len(sets))
+    a = [[int(v in s) for v in graph.vertices] for s in sets]
+    value, y, duals = ratlp.simplex_max([1] * graph.n, a, [1] * len(sets))
 
     weights = {s: duals[i] for i, s in enumerate(sets) if duals[i] != 0}
     fc = FractionalColoring(weights)

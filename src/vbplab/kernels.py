@@ -22,6 +22,10 @@ maps any completion of a node to one the rule allows, and relabeling the
 unused colors or bins, which the open-one-new rule needs, keeps that order.
 Class members always tie under the branching rule, so the lowest-index tie
 break already reaches them in index order.
+
+Each search is a recursive closure, and so a reference cycle: the kernels
+here and graphs.maximal_independent_sets `del` it once it returns, which
+frees its lists then and not at a later gc pass.
 """
 
 from __future__ import annotations
@@ -120,6 +124,7 @@ def chromatic_bnb(masks: Sequence[int], lb: int, incumbent: list[int]) -> tuple[
             c += 1
 
     dfs(0, 0)
+    del dfs
     return best, best_colors
 
 
@@ -199,4 +204,5 @@ def packing_bnb(
             assign[i] = -1
 
     dfs(0, 0)
+    del dfs
     return best, best_assign

@@ -30,6 +30,13 @@ from .graphs import ColorId, Coloring, Graph, checked_events, events_from_graph
 from .rng import GENERATOR_NAME, SEED_DERIVATION, Seed, make_rng, trial_seed
 
 _REL_TOL = 1e-12
+# Modeled trial time, in microseconds, that a worker process must get before
+# it is started. On a shared 2-vCPU x86 host two workers broke even with one
+# process at 100-220 ms of serial trials (starting them costs about 40 ms,
+# and they ran 4,000 crown k=8, t=64 trials only 1.3x faster), so the
+# crown k=8, t=64 run stays in process up to about 2,150 trials, and
+# G(300, 0.1) with t=64 gets two workers from about 175.
+MIN_US_PER_WORKER = 75_000
 
 
 def special_color(step: int) -> str:
@@ -219,6 +226,19 @@ def _trial_range(trace, p, master_seed, start, stop) -> list[tuple[int, int, int
     return [_trial(trace, p, trial_seed(master_seed, i))[1] for i in range(start, stop)]
 
 
+def _workers(jobs: int, trials: int, n: int, t: int) -> int:
+    """Worker processes for deterministic trials over n steps of t copies:
+    at most jobs, trials and CPUs, and one per MIN_US_PER_WORKER of modeled
+    trial time; 1 or less runs them in this process.
+
+    A trial is modeled at 25 us to seed its generator, 1.2 us a step and
+    0.025 us a copy color, which is within 25% of the measured time on seven
+    graphs from a 5-cycle with t=2 (30 us) to G(300, 0.1) with t=64 (820 us).
+    """
+    work_us = trials * (25 + n * (1.2 + t / 40))
+    return min(jobs, trials, os.cpu_count() or 1, int(work_us // MIN_US_PER_WORKER))
+
+
 def monte_carlo_verify(
     graph: Graph,
     algo,
@@ -234,6 +254,7 @@ def monte_carlo_verify(
     invariant colors_B <= |pool| + fails, and counts the trials whose
     coloring is not proper. Trials are independent streams,
     so jobs > 1 only parallelizes; aggregation is in trial order either way.
+    Runs too small to pay for a worker stay in this process (see _workers).
     """
     if trials < 1:
         raise InputError("need at least one trial")
@@ -247,7 +268,7 @@ def monte_carlo_verify(
         ]
     else:
         trace = _record_trace(n, events, algo, t)
-        workers = min(jobs, trials, os.cpu_count() or 1)
+        workers = _workers(jobs, trials, n, t)
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 

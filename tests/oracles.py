@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from vbplab.graphs import Graph
+from vbplab.ratlp import SimplexError
 
 
 def brute_chromatic(graph: Graph) -> int:
@@ -133,3 +134,71 @@ def odd_cycle_fractional_chi(n: int) -> Fraction:
     """chi_f of C_n for odd n >= 3: n / floor(n/2)."""
     assert n >= 3 and n % 2 == 1
     return Fraction(n, n // 2)
+
+
+# The Fraction-tableau simplex that vbplab.ratlp replaced by its fraction-free
+# int tableau: every pivot divides whole rows in Fractions. Same rules (slack
+# basis, Bland's lowest index, ratio ties to the lowest basic index).
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def fraction_simplex_max(c: list[Fraction], a: list[list[Fraction]], b: list[Fraction]):
+    """Maximize c.y over {A y <= b, y >= 0}; b must be nonnegative.
+
+    Returns (value, y, duals) where duals are the optimal multipliers of
+    the <= rows, i.e. the optimal solution of the dual min b.x program.
+    """
+    m = len(a)
+    nv = len(c)
+    if any(bi < 0 for bi in b):
+        raise SimplexError("slack basis needs b >= 0")
+
+    # Tableau columns: nv originals, m slacks, rhs. Row m is the z-row
+    # holding reduced costs (z_j - c_j); optimal when all >= 0.
+    width = nv + m + 1
+    rows = []
+    for i in range(m):
+        row = list(a[i]) + [ZERO] * m + [b[i]]
+        row[nv + i] = ONE
+        rows.append(row)
+    zrow = [-ci for ci in c] + [ZERO] * m + [ZERO]
+    basis = [nv + i for i in range(m)]
+
+    while True:
+        enter = -1
+        for j in range(nv + m):  # Bland: lowest eligible index
+            if zrow[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best_ratio = None
+        for i in range(m):
+            aij = rows[i][enter]
+            if aij > 0:
+                ratio = rows[i][-1] / aij
+                if (best_ratio is None or ratio < best_ratio
+                        or (ratio == best_ratio and basis[i] < basis[leave])):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            raise SimplexError("unbounded LP")
+        piv = rows[leave][enter]
+        rows[leave] = [x / piv for x in rows[leave]]
+        for i in range(m):
+            if i != leave and rows[i][enter] != 0:
+                f = rows[i][enter]
+                rows[i] = [x - f * p for x, p in zip(rows[i], rows[leave])]
+        if zrow[enter] != 0:
+            f = zrow[enter]
+            zrow = [x - f * p for x, p in zip(zrow, rows[leave])]
+        basis[leave] = enter
+
+    y = [ZERO] * nv
+    for i, bv in enumerate(basis):
+        if bv < nv:
+            y[bv] = rows[i][-1]
+    duals = [zrow[nv + i] for i in range(m)]
+    return zrow[-1], y, duals

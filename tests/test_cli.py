@@ -205,6 +205,7 @@ def test_run_and_bench_algorithm_b_share_trials(capsys):
 
 
 def test_run_algorithm_b_honours_jobs(monkeypatch, capsys, recording_executor):
+    monkeypatch.setattr(pool, "MIN_US_PER_WORKER", 1)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     reports = []
     for jobs in ("1", "2"):

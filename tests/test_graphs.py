@@ -204,6 +204,15 @@ def test_fractional_examples():
     assert fractional_chromatic_exact(C5)[0] == Fraction(5, 2)
 
 
+def test_fractional_c5_is_an_exact_fraction_with_fraction_weights():
+    # the LP rows are ints; value and witness still come back as Fractions
+    value, witness = fractional_chromatic_exact(C5)
+    assert type(value) is Fraction and value == Fraction(5, 2)
+    assert len(witness.weights) == 5
+    assert all(type(w) is Fraction for w in witness.weights.values())
+    assert sum(witness.weights.values()) == value
+
+
 def test_fractional_odd_cycles_closed_form():
     from vbplab.generators import gen_cycle
 

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from vbplab import pool
 from vbplab.copies import CopiesInstance, GreedyCcp, color_class_vertices, greedy_online_ccp
 from vbplab.errors import InputError, ProtocolError
 from vbplab.generators import gen_crown, gen_cycle, gen_gnp
@@ -240,6 +241,7 @@ def test_monte_carlo_jobs_do_not_change_report():
 
 def test_monte_carlo_workers_clamped_to_trials_and_cpus(monkeypatch, recording_executor):
     started = recording_executor
+    monkeypatch.setattr(pool, "MIN_US_PER_WORKER", 1)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     g = gen_crown(3)
     serial = monte_carlo_verify(g, GreedyCcp(), 16, 10, 7)
@@ -250,6 +252,26 @@ def test_monte_carlo_workers_clamped_to_trials_and_cpus(monkeypatch, recording_e
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert monte_carlo_verify(g, GreedyCcp(), 16, 10, 7, jobs=8) == serial
     assert started == [4, 3]  # unknown CPU count: trials run in this process
+
+
+def test_monte_carlo_below_worker_threshold_stays_in_process(monkeypatch, recording_executor):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    g = gen_crown(3)
+    serial = monte_carlo_verify(g, GreedyCcp(), 16, 200, 7)
+    assert monte_carlo_verify(g, GreedyCcp(), 16, 200, 7, jobs=4) == serial
+    assert recording_executor == []
+
+
+def test_worker_count_follows_modeled_work(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    # crown k=8 (n = 16), t = 64: 2,000 trials stay in process, 10,000 get two
+    assert pool._workers(2, 2000, 16, 64) <= 1
+    assert pool._workers(2, 10_000, 16, 64) == 2
+    # a trial on G(300, p) with t = 64 costs about 12 crown trials
+    assert pool._workers(2, 100, 300, 64) <= 1
+    assert pool._workers(2, 200, 300, 64) == 2
+    assert pool._workers(8, 10**6, 300, 64) == 4
+    assert pool._workers(1, 10**6, 300, 64) == 1
 
 
 def test_monte_carlo_crown_fail_rate():

@@ -27,8 +27,6 @@ from .graphs import (
     events_from_graph,
     fractional_chromatic_exact,
     graph_from_edges,
-    format_graph_text,
-    parse_instance_text,
 )
 
 Copy = tuple[int, int]
@@ -213,16 +211,3 @@ def sandwich_report(chi_f: Fraction, chi_t: int, t: int, chi: int) -> SandwichRe
         chi=chi,
         holds=chi_f <= ratio <= chi,
     )
-
-
-# --- text format: graph format plus a "t <value>" header -------------------
-
-def parse_copies_text(text: str) -> CopiesInstance:
-    graph, t = parse_instance_text(text)
-    if t is None:
-        raise InputError("missing 't <value>' header in copies instance")
-    return CopiesInstance(base=graph, t=t)
-
-
-def format_copies_text(inst: CopiesInstance) -> str:
-    return format_graph_text(inst.base, t=inst.t)

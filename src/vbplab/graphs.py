@@ -330,13 +330,6 @@ def parse_instance_text(text: str) -> tuple[Graph, int | None]:
     return graph_from_edges(n, edges), t
 
 
-def parse_graph_text(text: str) -> Graph:
-    graph, t = parse_instance_text(text)
-    if t is not None:
-        raise InputError("unexpected 't' header in a plain graph file")
-    return graph
-
-
 def format_graph_text(graph: Graph, t: int | None = None) -> str:
     lines = [f"g {graph.n} {graph.m}"]
     if t is not None:

@@ -5,9 +5,9 @@ An instance stores item coordinate c in [0,1] as the int c * scale, where
 no items), so equal instances have equal fields and boundary sums like
 n * (1/n) land on the capacity exactly, never on 0.999... Every bin load is
 one int in the `Lanes` form, so each fit test in First-Fit, packing
-validation and the exact optimum's kernel is one add and one AND. Fractions
-appear only at I/O: the `items` view, `make_instance`, the text format, and
-bin loads in reports (unpacked once per bin).
+validation and the exact optimum's kernel is one add and one AND. A packing
+is its bins' item lists; loads live only inside those fit tests. Fractions
+appear only at I/O: the `items` view, `make_instance` and the text format.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ def make_item(coords: Sequence) -> Vector:
 
 
 class Lanes:
-    """The packed-int bin-load form for d coordinates over one capacity.
+    """The packed-int bin-load form for d coordinates over one capacity,
+    read only through the guard bits.
 
     A row packs into one int with entry j in bits [j*width, (j+1)*width).
     A load is `empty` plus the packed rows in the bin: `empty` lifts each
@@ -71,12 +72,6 @@ class Lanes:
         if min(row) < 0 or max(row) > self.capacity:
             raise InputError(f"row entry outside 0..{self.capacity}")
         return sum([x << s for x, s in zip(row, self._shifts) if x])
-
-    def unpack(self, load: int) -> Vector:
-        """A load back as Fractions of a unit bin."""
-        load -= self.empty
-        mask = (1 << self.width) - 1
-        return tuple(Fraction(load >> s & mask, self.capacity) for s in self._shifts)
 
 
 @dataclass(frozen=True)
@@ -142,12 +137,10 @@ def fits_together(inst: VbpInstance, items: Iterable[int]) -> bool:
 @dataclass
 class Bin:
     items: list[int]
-    load: Vector
 
 
 @dataclass
 class PackingState:
-    d: int
     bins: list[Bin]
 
     @property
@@ -192,19 +185,15 @@ def first_fit_online(inst: VbpInstance) -> PackingState:
         if b == len(bins):
             bins.append([])
         bins[b].append(i)
-    return PackingState(
-        d=inst.d, bins=[Bin(members, lanes.unpack(load)) for members, load in zip(bins, loads)]
-    )
+    return PackingState(bins=[Bin(members) for members in bins])
 
 
 def validate_packing(inst: VbpInstance, packing: PackingState) -> bool:
-    """Exact check: items partitioned, stored loads consistent, capacity held.
+    """Exact check: items partitioned and capacity held in every bin.
 
     Rows join a bin's load one at a time, and the bin fails at the first
     guard bit, before an overfull field could carry into the next.
     """
-    if packing.d != inst.d:
-        return False
     packed, lanes = inst.packed, inst.lanes
     seen: set[int] = set()
     for bin_ in packing.bins:
@@ -216,8 +205,6 @@ def validate_packing(inst: VbpInstance, packing: PackingState) -> bool:
             load += packed[i]
             if load & lanes.guard:
                 return False
-        if lanes.unpack(load) != tuple(bin_.load):
-            return False
     return len(seen) == inst.n
 
 
@@ -247,7 +234,7 @@ def opt_exact(inst: VbpInstance, limit: int = DEFAULT_EXACT_PACK_LIMIT) -> tuple
             f"exact packing limited to {limit} items, got {inst.n}"
         )
     if inst.n == 0:
-        return 0, PackingState(d=inst.d, bins=[])
+        return 0, PackingState(bins=[])
 
     rows, packed, lanes = inst.rows, inst.packed, inst.lanes
     order = sorted(
@@ -265,17 +252,7 @@ def opt_exact(inst: VbpInstance, limit: int = DEFAULT_EXACT_PACK_LIMIT) -> tuple
     bins: list[list[int]] = [[] for _ in range(count)]
     for pos, b in enumerate(assign):
         bins[b].append(order[pos])
-    state = PackingState(
-        d=inst.d,
-        bins=[
-            Bin(
-                items=sorted(members),
-                load=lanes.unpack(sum((packed[i] for i in members), lanes.empty)),
-            )
-            for members in bins
-        ],
-    )
-    return count, state
+    return count, PackingState(bins=[Bin(sorted(members)) for members in bins])
 
 
 # --- text format -----------------------------------------------------------

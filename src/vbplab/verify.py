@@ -270,7 +270,8 @@ def check_simulation_feasibility(
             g.n, events_from_graph(g), GreedyCcp(), t, trial_seed(seed, i)
         )
         try:
-            validate_coloring(g, coloring)
+            if not validate_coloring(g, coloring):
+                failures.append(f"improper simulated coloring on {_label(g)}")
         except InputError as exc:
             failures.append(f"infeasible simulated coloring on {_label(g)}: {exc}")
         if not stats.feasible:

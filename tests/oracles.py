@@ -74,8 +74,8 @@ def brute_opt_bins(items, d: int) -> int:
     return k
 
 
-def naive_first_fit(items, d: int) -> list[tuple[list[int], tuple[Fraction, ...]]]:
-    """First-Fit on exact Fractions against unit bins: (members, load) per bin."""
+def naive_first_fit(items, d: int) -> list[list[int]]:
+    """First-Fit on exact Fractions against unit bins: the members of each bin."""
     one = Fraction(1)
     bins: list[tuple[list[int], list[Fraction]]] = []
     for i, w in enumerate(items):
@@ -88,7 +88,7 @@ def naive_first_fit(items, d: int) -> list[tuple[list[int], tuple[Fraction, ...]
         members.append(i)
         for j in range(d):
             load[j] += w[j]
-    return [(members, tuple(load)) for members, load in bins]
+    return [members for members, _ in bins]
 
 
 def fraction_fits(items, d: int) -> bool:

@@ -150,9 +150,10 @@ def test_criterion_05_simulation_feasibility(capsys):
                 corpus[j].n, events[j], GreedyCcp(), ts[i % 4], trial_seed(9001, i)
             )
             try:
-                validate_coloring(corpus[j], coloring)
+                proper = validate_coloring(corpus[j], coloring)
             except InputError:
-                infeasible += 1
+                proper = False
+            infeasible += not proper
         assert infeasible == 0
 
 

@@ -14,8 +14,6 @@ from vbplab.copies import (
     copy_vertex_id,
     fractional_coloring_from_copies,
     greedy_online_ccp,
-    parse_copies_text,
-    format_copies_text,
     validate_copies_coloring,
 )
 from vbplab.errors import InputError, ResourceLimitError
@@ -23,8 +21,10 @@ from vbplab.generators import all_graphs, gen_complete, gen_cycle, gen_empty, ge
 from vbplab.graphs import (
     chromatic_number_exact,
     fractional_chromatic_exact,
+    format_graph_text,
     graph_from_edges,
     is_independent_set,
+    parse_instance_text,
     validate_fractional_coloring,
 )
 from vbplab.reductions import reduce_copies
@@ -150,7 +150,7 @@ def test_fractional_extraction_c5_t2():
     assert chi_t == 5
     frac = fractional_coloring_from_copies(inst, witness)
     assert frac.value == Fraction(5, 2)
-    validate_fractional_coloring(C5, frac)
+    assert validate_fractional_coloring(C5, frac)
 
 
 def test_fractional_extraction_rejects_invalid():
@@ -167,7 +167,7 @@ def test_fractional_extraction_value_is_colors_over_t():
             f = greedy_online_ccp(inst)
             frac = fractional_coloring_from_copies(inst, f)
             assert frac.value == Fraction(len(set(f.values())), t)
-            validate_fractional_coloring(base, frac)
+            assert validate_fractional_coloring(base, frac)
 
 
 # ------------------------------------------------------------- exact oracle
@@ -262,10 +262,5 @@ def test_sandwich_holds_on_random_graphs():
 
 def test_copies_text_roundtrip():
     inst = CopiesInstance(C5, 3)
-    parsed = parse_copies_text(format_copies_text(inst))
-    assert parsed.base == C5 and parsed.t == 3
-
-
-def test_copies_text_requires_t():
-    with pytest.raises(InputError):
-        parse_copies_text("g 2 1\ne 1 2\n")
+    base, t = parse_instance_text(format_graph_text(inst.base, t=inst.t))
+    assert base == C5 and t == 3

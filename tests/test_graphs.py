@@ -27,7 +27,6 @@ from vbplab.graphs import (
     greedy_online_coloring,
     is_independent_set,
     maximal_independent_sets,
-    parse_graph_text,
     parse_instance_text,
     validate_coloring,
     validate_fractional_coloring,
@@ -224,7 +223,7 @@ def test_fractional_witness_validates():
     for i in range(10):
         g = gen_gnp(6, 0.5, 3000 + i)
         value, witness = fractional_chromatic_exact(g)
-        validate_fractional_coloring(g, witness)
+        assert validate_fractional_coloring(g, witness)
         assert witness.value == value
 
 
@@ -258,9 +257,8 @@ def test_maximal_independent_sets_match_brute():
 
 
 def test_graph_text_roundtrip():
-    text = format_graph_text(C5)
-    g = parse_graph_text(text)
-    assert g == C5
+    assert parse_instance_text(format_graph_text(C5)) == (C5, None)
+    assert parse_instance_text(format_graph_text(C5, t=3)) == (C5, 3)
 
 
 def test_graph_text_comments_and_t():
@@ -271,11 +269,9 @@ def test_graph_text_comments_and_t():
 
 def test_graph_text_rejects_garbage():
     with pytest.raises(InputError):
-        parse_graph_text("h 3 1\ne 1 2\n")
+        parse_instance_text("h 3 1\ne 1 2\n")
     with pytest.raises(InputError):
-        parse_graph_text("g 3 2\ne 1 2\n")  # edge count mismatch
-    with pytest.raises(InputError):
-        parse_graph_text("g 3 1\nt 2\ne 1 2\n")  # t line not allowed here
+        parse_instance_text("g 3 2\ne 1 2\n")  # edge count mismatch
 
 
 @pytest.mark.parametrize(
@@ -302,7 +298,7 @@ def test_roundtrip_and_greedy_property(n, data):
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     g = graph_from_edges(n, chosen)
-    assert parse_graph_text(format_graph_text(g)) == g
+    assert parse_instance_text(format_graph_text(g)) == (g, None)
     coloring = greedy_online_coloring(g)
     assert validate_coloring(g, coloring)
     # greedy never beats the optimum

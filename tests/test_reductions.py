@@ -212,9 +212,7 @@ def test_packing_to_coloring_rejects_infeasible():
 
     inst = CopiesInstance(gen_complete(2), 1)
     # both items in one bin: coordinate 1 sums to 1 + 1/2 > 1
-    vbp = reduce_copies(inst)
-    load = tuple(vbp.items[0][j] + vbp.items[1][j] for j in range(2))
-    bad = PackingState(d=2, bins=[Bin(items=[0, 1], load=load)])
+    bad = PackingState(bins=[Bin([0, 1])])
     with pytest.raises(InputError):
         packing_to_copies_coloring(inst, bad)
 

@@ -1,7 +1,6 @@
 """Verification-suite behavior: green on honest code, red on sabotage."""
 
 import dataclasses
-from fractions import Fraction
 
 import pytest
 
@@ -106,10 +105,7 @@ def test_first_fit_check_reports_infeasible_packing(monkeypatch):
     # path 1-2-3: greedy uses 2 colors; packing the adjacent items 1 and 2
     # together also uses 2 bins but overloads coordinate 1
     def overloaded(inst):
-        def load(items):
-            return tuple(sum((inst.items[i][j] for i in items), Fraction(0)) for j in range(inst.d))
-
-        return PackingState(d=inst.d, bins=[Bin([0, 1], load([0, 1])), Bin([2], load([2]))])
+        return PackingState(bins=[Bin([0, 1]), Bin([2])])
 
     monkeypatch.setattr(verify, "first_fit_online", overloaded)
     result = check_first_fit_correspondence([gen_path(3)])
@@ -131,3 +127,18 @@ def test_simulation_check_reports_an_infeasible_flag(monkeypatch):
     assert validate_coloring(graph, coloring) and not stats.feasible
     result = check_simulation_feasibility([graph], t=4, seed=0)
     assert result.failures == (f"simulation reported infeasible on n=3 edges={sorted(graph.edges)}",)
+
+
+def test_simulation_check_reports_an_improper_coloring(monkeypatch):
+    # a run that flags itself feasible but gives adjacent vertices one color
+    graph = gen_path(3)
+
+    def one_color(n, events, algo, t, seed):
+        coloring, stats = run_algorithm_b(n, events, algo, t, seed)
+        return dict.fromkeys(coloring, 0), stats
+
+    monkeypatch.setattr(verify, "run_algorithm_b", one_color)
+    coloring, stats = verify.run_algorithm_b(graph.n, events_from_graph(graph), GreedyCcp(), 4, 0)
+    assert stats.feasible and set(coloring) == {1, 2, 3} and not validate_coloring(graph, coloring)
+    result = check_simulation_feasibility([graph], t=4, seed=0)
+    assert result.failures == (f"improper simulated coloring on n=3 edges={sorted(graph.edges)}",)

@@ -34,7 +34,6 @@ from .generators import (
 from .graphs import (
     FractionalColoring,
     Graph,
-    OnlineVertexEvent,
     chromatic_number_exact,
     events_from_graph,
     fractional_chromatic_exact,

@@ -141,8 +141,9 @@ def _reduce(graph: Graph, t: int | None) -> VbpInstance:
 
 
 def _load_vbp(args) -> VbpInstance:
-    """VBP instance from a vbp file, or the reduction of a graph/copies source."""
-    if getattr(args, "input", None):
+    """VBP instance from a vbp file, or the reduction of a graph/copies source
+    (where `_load_graph` refuses --input together with --family)."""
+    if getattr(args, "input", None) and not getattr(args, "family", None):
         text = _read_text(args.input)
         first = next(
             (ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")),

@@ -2,8 +2,8 @@
 
 An instance keeps the base graph and t implicitly; the explicit blow-up
 (clique per vertex, complete bipartite per edge) is only materialized when
-an exact oracle needs it, since simulations may use large t where adjacency
-queries on the base graph suffice.
+an exact oracle needs it, since simulations may use large t where the base
+graph's neighbour masks suffice.
 
 Copies are (vertex, copy-index) with copy-index 1..t. A valid coloring
 gives distinct colors to copies of the same vertex and to copies of
@@ -144,29 +144,30 @@ def chromatic_number_copies_exact(
 class GreedyCcp:
     """Online First-Fit on copies: each copy takes the smallest feasible color.
 
-    Within a vertex's step the t copies are colored in copy-index order, so
-    they receive the t smallest colors not used by any earlier neighbor.
+    Each color's class is one vertex mask, bit v-1 for vertex v, as in
+    `Graph.masks`; it is open to a vertex iff it misses the back-edge mask.
+    The t copies of a vertex receive the t smallest open colors.
     """
 
     deterministic = True
 
     def start(self, n: int, t: int) -> None:
         self.t = t
-        self.assigned: dict[int, tuple[int, ...]] = {}
+        self.classes: list[int] = []
 
-    def color_copies(self, vertex: int, back_edges: frozenset[int]) -> tuple[int, ...]:
-        forbidden = set()
-        for u in back_edges:
-            forbidden.update(self.assigned[u])
+    def color_copies(self, vertex: int, back_mask: int) -> tuple[int, ...]:
+        classes = self.classes
+        bit = 1 << (vertex - 1)
         colors = []
         c = 0
         while len(colors) < self.t:
-            if c not in forbidden:
+            if c == len(classes):
+                classes.append(0)
+            if not classes[c] & back_mask:
+                classes[c] |= bit
                 colors.append(c)
             c += 1
-        out = tuple(colors)
-        self.assigned[vertex] = out
-        return out
+        return tuple(colors)
 
 
 def greedy_online_ccp(inst: CopiesInstance) -> CopiesColoring:
@@ -174,9 +175,9 @@ def greedy_online_ccp(inst: CopiesInstance) -> CopiesColoring:
     algo = GreedyCcp()
     algo.start(inst.base.n, inst.t)
     out: CopiesColoring = {}
-    for ev in events_from_graph(inst.base):
-        for k, c in enumerate(algo.color_copies(ev.vertex, ev.back_edges), 1):
-            out[(ev.vertex, k)] = c
+    for v, back_mask in enumerate(events_from_graph(inst.base), 1):
+        for k, c in enumerate(algo.color_copies(v, back_mask), 1):
+            out[(v, k)] = c
     return out
 
 

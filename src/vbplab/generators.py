@@ -17,8 +17,13 @@ from .graphs import Graph, graph_from_edges, is_connected
 from .rng import Seed, make_rng
 
 # The largest graph a reduction takes with one copy per vertex (n*n <= 2^24);
-# gen_gnp refuses more before it builds its C(n, 2) pairs.
-MAX_GNP_VERTICES = 4096
+# gnp, complete and crown refuse more before they build their O(n^2) pairs.
+MAX_DENSE_VERTICES = 4096
+
+
+def _check_dense_size(family: str, n: int) -> None:
+    if n > MAX_DENSE_VERTICES:
+        raise ResourceLimitError(f"{family} limited to {MAX_DENSE_VERTICES} vertices, got n = {n}")
 
 
 def gen_gnp(n: int, prob: float, seed: Seed) -> Graph:
@@ -27,8 +32,7 @@ def gen_gnp(n: int, prob: float, seed: Seed) -> Graph:
         raise InputError("need n >= 1")
     if not 0.0 <= prob <= 1.0:
         raise InputError("edge probability must be in [0, 1]")
-    if n > MAX_GNP_VERTICES:
-        raise ResourceLimitError(f"G(n, p) limited to {MAX_GNP_VERTICES} vertices, got n = {n}")
+    _check_dense_size("G(n, p)", n)
     pairs = list(combinations(range(1, n + 1), 2))
     if not pairs:
         return Graph(n=n, edges=frozenset())
@@ -53,6 +57,7 @@ def gen_path(n: int) -> Graph:
 def gen_complete(n: int) -> Graph:
     if n < 1:
         raise InputError("need n >= 1")
+    _check_dense_size("K_n", n)
     return graph_from_edges(n, combinations(range(1, n + 1), 2))
 
 
@@ -76,6 +81,7 @@ def gen_crown(k: int) -> Graph:
     """
     if k < 2:
         raise InputError("crown needs k >= 2")
+    _check_dense_size("crown", 2 * k)
     side_a, side_b = crown_vertex_ids(k)
     edges = [
         (side_a[i], side_b[j])

@@ -3,13 +3,13 @@
 Vertices are 1..n and the vertex id *is* the arrival position. Color ids are
 opaque: plain non-negative integers for regular colors, with the string
 namespace "s:<step>" reserved for the pool simulation's special colors.
-Online algorithms see a graph as `events_from_graph` presents it: each vertex
-with its edges to earlier vertices. The greedy baseline,
-`greedy_online_coloring`, colors in that order.
 
 Every vertex-set test (independence, connectivity, cliques, First-Fit
 coloring, maximal independent sets, the coloring kernel) reads one form,
-`Graph.masks`: bit u-1 of masks[v-1] is set iff u ~ v.
+`Graph.masks`: bit u-1 of masks[v-1] is set iff u ~ v. Online algorithms see
+a graph as `events_from_graph` presents it, in the same convention: entry
+v-1 is vertex v's back-edge mask, bit u-1 for each earlier neighbour u. The
+greedy baseline, `greedy_online_coloring`, colors in that order.
 
 The exact oracles (chromatic number, fractional chromatic number) are meant
 for small instances and refuse loudly above their size limits rather than
@@ -42,7 +42,8 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
-        """Neighbor sets indexed by vertex id (index 0 unused)."""
+        """Neighbor sets indexed by vertex id (index 0 unused). Nothing in
+        vbplab reads them; they stay while perfbench's `_ready` warms them."""
         nbrs: list[set[int]] = [set() for _ in range(self.n + 1)]
         for u, v in self.edges:
             nbrs[u].add(v)
@@ -94,7 +95,11 @@ def is_independent_set(graph: Graph, vertices: Iterable[int]) -> bool:
 
 
 def validate_coloring(graph: Graph, coloring: Coloring) -> bool:
-    """True iff the coloring is total and endpoints of every edge differ."""
+    """True iff endpoints of every edge differ; InputError unless the
+    coloring assigns exactly the graph's vertices."""
+    if len(coloring) > graph.n:
+        stray = next(v for v in coloring if v not in graph.vertices)
+        raise InputError(f"coloring assigns {stray!r}, not a vertex of the graph")
     for v in graph.vertices:
         if v not in coloring:
             raise InputError(f"coloring is partial: vertex {v} unassigned")
@@ -116,36 +121,24 @@ def is_connected(graph: Graph) -> bool:
 
 # --- online arrival events -------------------------------------------------
 
-@dataclass(frozen=True)
-class OnlineVertexEvent:
-    """Arrival of a vertex together with its edges to earlier vertices."""
-
-    vertex: int
-    back_edges: frozenset[int]
+def events_from_graph(graph: Graph) -> list[int]:
+    """The arrival sequence: entry v-1 is vertex v's back-edge mask, the low
+    v-1 bits of masks[v-1] (bit u-1 for each earlier neighbour u)."""
+    return [mask & ((1 << v) - 1) for v, mask in enumerate(graph.masks)]
 
 
-def events_from_graph(graph: Graph) -> list[OnlineVertexEvent]:
-    return [
-        OnlineVertexEvent(v, frozenset(u for u in graph.adjacency[v] if u < v))
-        for v in graph.vertices
-    ]
-
-
-def checked_events(n: int, events: Iterable[OnlineVertexEvent]) -> Iterator[OnlineVertexEvent]:
-    """Pass the events through, raising InputError unless they are vertices
-    1..n in order, each with back-edges to earlier vertices only."""
-    arrived = 0
-    for event in events:
-        v = event.vertex
-        if v != arrived + 1 or v > n:
-            raise InputError(f"events must be vertices 1..{n} in order: got {v} after {arrived}")
-        for u in event.back_edges:
-            if not 1 <= u < v:
-                raise InputError(f"back-edge {u} not earlier than vertex {v}")
-        arrived = v
-        yield event
-    if arrived != n:
-        raise InputError(f"events must be vertices 1..{n} in order: they end after {arrived}")
+def checked_events(n: int, events: Iterable[int]) -> Iterator[int]:
+    """Pass the back-edge masks through, raising InputError unless there are
+    n of them and vertex v's mask has bits for earlier vertices only."""
+    v = 0
+    for v, mask in enumerate(events, 1):
+        if v > n:
+            raise InputError(f"arrivals must be vertices 1..{n}: got a vertex {v}")
+        if not isinstance(mask, int) or mask >> (v - 1):   # nonzero for a negative mask too
+            raise InputError(f"vertex {v} needs a mask of earlier vertices, got {mask!r}")
+        yield mask
+    if v != n:
+        raise InputError(f"arrivals must be vertices 1..{n}: they end after {v}")
 
 
 def greedy_online_coloring(graph: Graph) -> Coloring:

@@ -12,8 +12,10 @@ step), all taken by a single rng.random call. A never observes the pool, so
 B first drives A across the full arrival sequence recording a per-step
 trace, then runs the seeded pool phase over it. `_trial` is the one trial
 loop: a single run is one trial, and Monte-Carlo verification runs many over
-a cached trace when A declares itself deterministic. Each trial checks that
-B's coloring is proper.
+a cached trace when A declares itself deterministic. Every vertex set is a
+mask in the convention of `Graph.masks`, bit v-1 for vertex v: an arrival's
+back edges, and a color class of A (in the trace) or of B (in a trial), so
+checking a color against earlier neighbors is one AND.
 """
 
 from __future__ import annotations
@@ -64,8 +66,7 @@ class SimulationStats:
 
 @dataclass(frozen=True)
 class _TraceStep:
-    vertex: int
-    back_mask: int                # bit u set for each earlier neighbor u
+    back_mask: int                # bit u-1 set for each earlier neighbor u
     copy_colors: tuple[int, ...]
 
 
@@ -78,34 +79,31 @@ class _Trace:
 def _record_trace(n, events, algo, t) -> _Trace:
     """Drive A over the arrival sequence, checking the protocol as we go.
 
-    The events are checked (vertices 1..n in order, back-edges to earlier
+    The back-edge masks are checked (one per vertex 1..n, bits for earlier
     vertices only) before A sees any of them.
     """
     events = list(checked_events(n, events))
     algo.start(n, t)
-    per_vertex: dict[int, set[int]] = {}
-    seen: set[int] = set()
+    classes: dict[int, int] = {}   # A's color -> mask of the vertices using it
     first_use: list[int] = []
     steps: list[_TraceStep] = []
-    for ev in events:
-        colors = tuple(algo.color_copies(ev.vertex, ev.back_edges))
+    for v, back_mask in enumerate(events, 1):
+        colors = tuple(algo.color_copies(v, back_mask))
         if len(colors) != t or len(set(colors)) != t:
             raise ProtocolError(
                 f"algorithm returned {len(set(colors))} distinct colors for "
-                f"vertex {ev.vertex}, expected {t}"
+                f"vertex {v}, expected {t}"
             )
         if any(not isinstance(c, int) or c < 0 for c in colors):
             raise ProtocolError("copy colors must be nonnegative integers")
-        cset = set(colors)
-        for u in ev.back_edges:
-            if per_vertex[u] & cset:
-                raise ProtocolError(
-                    f"algorithm reused a neighbor's color at vertex {ev.vertex}"
-                )
-        per_vertex[ev.vertex] = cset
-        first_use += sorted(cset - seen)
-        seen |= cset
-        steps.append(_TraceStep(ev.vertex, sum(1 << u for u in ev.back_edges), colors))
+        for c in sorted(colors):
+            members = classes.get(c, 0)
+            if not members:
+                first_use.append(c)
+            elif members & back_mask:
+                raise ProtocolError(f"algorithm reused a neighbor's color at vertex {v}")
+            classes[c] = members | 1 << (v - 1)
+        steps.append(_TraceStep(back_mask, colors))
     return _Trace(tuple(steps), tuple(first_use))
 
 
@@ -132,12 +130,12 @@ def _trial(trace, p, seed) -> tuple[list[ColorId], tuple[int, int, int, int, boo
     pool_size, picks = _pool_phase(trace, p, make_rng(seed))
     classes: dict[ColorId, int] = {}
     fails = clash = 0
-    for ts, color in zip(trace.steps, picks):
+    for v, (ts, color) in enumerate(zip(trace.steps, picks)):
         if isinstance(color, str):
             fails += 1
         members = classes.get(color, 0)
         clash |= members & ts.back_mask
-        classes[color] = members | 1 << ts.vertex
+        classes[color] = members | 1 << v
     return picks, (len(classes), len(trace.colors), fails, pool_size, not clash)
 
 
@@ -151,8 +149,8 @@ def run_algorithm_b(
 ) -> tuple[Coloring, SimulationStats]:
     """One seeded simulation run; returns B's coloring and its statistics.
 
-    p defaults to min(1, 2 ln(n)/t). The events must be vertices 1..n in
-    order with back-edges to earlier vertices only (else InputError). The
+    p defaults to min(1, 2 ln(n)/t). The events must be n back-edge masks,
+    vertex v's with bits for earlier vertices only (else InputError). The
     output coloring is feasible for the underlying graph whenever A honors
     the copies-coloring protocol (violations raise ProtocolError).
     """
@@ -162,7 +160,7 @@ def run_algorithm_b(
         p = sampling_probability(n, t)
     trace = _record_trace(n, events, algo, t)
     picks, (colors_b, colors_a, fails, pool_size, feasible) = _trial(trace, p, seed)
-    coloring: Coloring = {ts.vertex: color for ts, color in zip(trace.steps, picks)}
+    coloring: Coloring = dict(enumerate(picks, 1))
     return coloring, SimulationStats(colors_a, colors_b, fails, pool_size, p, feasible)
 
 

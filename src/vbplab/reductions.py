@@ -8,11 +8,12 @@ vertices are independent, so bins are colors. The copies variant emits t
 identical items per vertex while keeping d = n, which is what lets the
 optimal bin count grow without the dimension moving.
 
-Both reductions are streaming: the row for arrival i depends only on
-events 1..i. The total count n must be known upfront because it is the
-capacity. Materializing a whole instance takes n*t items of n
-coordinates each, so `reduce_graph` and `reduce_copies` refuse instances
-above MAX_REDUCED_COORDINATES before building any item.
+Both reductions stream over `graphs.events_from_graph`'s back-edge masks:
+the row for arrival i depends only on masks 1..i. The total count n must be
+known upfront because it is the capacity. Materializing a whole instance
+takes n*t items of n coordinates each, so `reduce_graph` and
+`reduce_copies` refuse instances above MAX_REDUCED_COORDINATES before
+building any item.
 """
 
 from __future__ import annotations
@@ -21,30 +22,30 @@ from typing import Iterable, Iterator
 
 from .copies import CopiesColoring, CopiesInstance, validate_copies_coloring
 from .errors import InputError, ProtocolError, ResourceLimitError
-from .graphs import Graph, OnlineVertexEvent, checked_events, events_from_graph
+from .graphs import Graph, checked_events, events_from_graph
+from .kernels import bits
 from .vbp import Lanes, PackingState, Row, VbpInstance, validate_packing
 
 MAX_REDUCED_COORDINATES = 2**24
 
 
-def _reduced_vector(n: int, event: OnlineVertexEvent) -> Row:
-    i = event.vertex
+def _reduced_vector(n: int, vertex: int, back_mask: int) -> Row:
     coords = [0] * n
-    coords[i - 1] = n
-    for j in event.back_edges:
-        coords[j - 1] = 1
+    coords[vertex - 1] = n
+    for j in bits(back_mask):
+        coords[j] = 1
     return tuple(coords)
 
 
-def coloring_to_vbp(n: int, events: Iterable[OnlineVertexEvent]) -> Iterator[Row]:
+def coloring_to_vbp(n: int, events: Iterable[int]) -> Iterator[Row]:
     """Stream of int rows over capacity n for the coloring reduction (d = n)."""
     if n < 1:
         raise InputError("need at least one vertex")
-    for event in checked_events(n, events):
-        yield _reduced_vector(n, event)
+    for v, back_mask in enumerate(checked_events(n, events), 1):
+        yield _reduced_vector(n, v, back_mask)
 
 
-def ccp_to_vbp(n: int, t: int, events: Iterable[OnlineVertexEvent]) -> Iterator[Row]:
+def ccp_to_vbp(n: int, t: int, events: Iterable[int]) -> Iterator[Row]:
     """Copies reduction: t identical copies of each reduced row, d = n."""
     if t < 1:
         raise InputError("copies per vertex must be >= 1")
@@ -97,11 +98,11 @@ def packing_to_copies_coloring(inst: CopiesInstance, packing: PackingState) -> C
 class VbpBackedCcp:
     """Online copies-coloring algorithm driven by an online VBP algorithm.
 
-    Feeds each arriving vertex's t copies of its int row to the packer
-    (start(n, n), then place(row) -> bin) and reports bin indices as
-    colors; colors used equals bins opened. Shadow loads in the `Lanes`
-    form re-check every placement so a misbehaving packer surfaces as a
-    ProtocolError instead of an invalid coloring.
+    color_copies(vertex, back_mask) feeds t copies of the vertex's int row
+    to the packer (start(n, n), then place(row) -> bin) and reports bin
+    indices as colors; colors used equals bins opened. Shadow loads in the
+    `Lanes` form re-check every placement so a misbehaving packer surfaces
+    as a ProtocolError instead of an invalid coloring.
     """
 
     def __init__(self, packer):
@@ -115,8 +116,8 @@ class VbpBackedCcp:
         self._lanes = Lanes(n, n)
         self._loads: list[int] = []
 
-    def color_copies(self, vertex: int, back_edges: frozenset[int]) -> tuple[int, ...]:
-        row = _reduced_vector(self.n, OnlineVertexEvent(vertex, frozenset(back_edges)))
+    def color_copies(self, vertex: int, back_mask: int) -> tuple[int, ...]:
+        row = _reduced_vector(self.n, vertex, back_mask)
         lanes = self._lanes
         w = lanes.pack(row)
         colors = []

@@ -53,6 +53,25 @@ def test_gen_gnp_refuses_oversized_n_before_building(capsys, monkeypatch):
     assert code == 3 and out == "" and "limited to 4096 vertices" in err
 
 
+@pytest.mark.parametrize(
+    "family, size, first_step",
+    [
+        ("complete", ("--n", "100000"), "combinations"),
+        ("crown", ("--k", "50000"), "crown_vertex_ids"),
+    ],
+    ids=["complete", "crown"],
+)
+def test_gen_dense_family_refuses_oversized_n_before_building(
+    capsys, monkeypatch, family, size, first_step
+):
+    def not_reached(*_):
+        raise AssertionError("pairs built before the size check")
+
+    monkeypatch.setattr(generators, first_step, not_reached)
+    code, out, err = run_cli(capsys, "gen", family, *size)
+    assert code == 3 and out == "" and "limited to 4096 vertices" in err
+
+
 def test_gen_missing_param_exits_2(capsys):
     code, _, err = run_cli(capsys, "gen", "cycle")
     assert code == 2 and "requires --n" in err
@@ -179,6 +198,17 @@ def test_t_with_vbp_input_exits_2(tmp_path, capsys, subcommand):
     vbp.write_text("vbp 3 3\n1 0 0\n0 1 0\n0 0 1\n")
     code, out, err = run_cli(capsys, subcommand, "first-fit", "--input", str(vbp), "--t", "3")
     assert code == 2 and out == "" and "--t" in err and "vbp file" in err
+
+
+@pytest.mark.parametrize("text", ["vbp 1 1\n1\n", "g 2 1\ne 1 2\n"], ids=["vbp-file", "graph-file"])
+@pytest.mark.parametrize("subcommand", ["run", "bench"])
+def test_first_fit_refuses_input_with_family(tmp_path, capsys, subcommand, text):
+    path = tmp_path / "instance.txt"
+    path.write_text(text)
+    code, out, err = run_cli(
+        capsys, subcommand, "first-fit", "--input", str(path), "--family", "cycle", "--n", "5"
+    )
+    assert code == 2 and out == "" and "not both" in err
 
 
 def test_run_algorithm_b(capsys):

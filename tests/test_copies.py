@@ -20,7 +20,6 @@ from vbplab.errors import InputError, ResourceLimitError
 from vbplab.generators import all_graphs, gen_complete, gen_cycle, gen_empty, gen_gnp, gen_path
 from vbplab.graphs import (
     chromatic_number_exact,
-    fractional_chromatic_exact,
     format_graph_text,
     graph_from_edges,
     is_independent_set,

@@ -2,7 +2,8 @@
 
 import pytest
 
-from vbplab.errors import InputError
+from vbplab import generators
+from vbplab.errors import InputError, ResourceLimitError
 from vbplab.generators import (
     all_connected_graphs,
     all_graphs,
@@ -33,6 +34,15 @@ def test_gnp_reproducible():
 def test_gnp_rejects_bad_probability():
     with pytest.raises(InputError):
         gen_gnp(5, 1.5, 0)
+
+
+def test_dense_generators_refuse_above_the_vertex_limit(monkeypatch):
+    monkeypatch.setattr(generators, "MAX_DENSE_VERTICES", 4)
+    assert gen_complete(4).n == 4 and gen_crown(2).n == 4
+    assert gen_gnp(4, 0.5, 0).n == 4
+    for make in (lambda: gen_complete(5), lambda: gen_crown(3), lambda: gen_gnp(5, 0.5, 0)):
+        with pytest.raises(ResourceLimitError, match="limited to 4 vertices"):
+            make()
 
 
 def test_cycle_complete_empty():

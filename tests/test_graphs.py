@@ -15,9 +15,8 @@ from oracles import (
     odd_cycle_fractional_chi,
 )
 from vbplab.errors import InputError, ResourceLimitError
-from vbplab.generators import all_connected_graphs, all_graphs, gen_gnp
+from vbplab.generators import all_graphs, gen_gnp
 from vbplab.graphs import (
-    Graph,
     _greedy_clique_size,
     chromatic_number_exact,
     events_from_graph,
@@ -82,9 +81,8 @@ def test_masks_agree_with_adjacency(n, data):
 
 
 def test_events_from_graph_back_edges_only():
-    events = events_from_graph(K3)
-    assert [e.vertex for e in events] == [1, 2, 3]
-    assert [sorted(e.back_edges) for e in events] == [[], [1], [1, 2]]
+    assert events_from_graph(K3) == [0, 0b1, 0b11]
+    assert events_from_graph(P3) == [0, 0b1, 0b10]  # vertex 3's only earlier neighbour is 2
 
 
 # ------------------------------------------------------------- independence
@@ -123,6 +121,15 @@ def test_validate_coloring_examples():
 def test_validate_coloring_rejects_partial():
     with pytest.raises(InputError):
         validate_coloring(K3, {1: "a", 2: "b"})
+
+
+@pytest.mark.parametrize(
+    "coloring, stray",
+    [({1: 0, 2: 1, 3: 0, -7: 0}, "3"), ({1: 0, 2: 1, "x": 0}, "'x'"), ({1: 0, 0: 1, 5: 2}, "0")],
+)
+def test_validate_coloring_rejects_keys_that_are_not_vertices(coloring, stray):
+    with pytest.raises(InputError, match=f"assigns {stray}, not a vertex"):
+        validate_coloring(graph_from_edges(2, [(1, 2)]), coloring)
 
 
 def test_greedy_examples():

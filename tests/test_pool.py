@@ -9,7 +9,7 @@ from vbplab import pool
 from vbplab.copies import CopiesInstance, GreedyCcp, color_class_vertices, greedy_online_ccp
 from vbplab.errors import InputError, ProtocolError
 from vbplab.generators import gen_crown, gen_cycle, gen_gnp
-from vbplab.graphs import OnlineVertexEvent, events_from_graph, validate_coloring
+from vbplab.graphs import events_from_graph, validate_coloring
 from vbplab.pool import (
     fail_probability_bound,
     monte_carlo_verify,
@@ -17,7 +17,7 @@ from vbplab.pool import (
     sampling_probability,
     special_color,
 )
-from vbplab.reductions import VbpBackedCcp
+from vbplab.reductions import VbpBackedCcp, coloring_to_vbp
 from vbplab.rng import trial_seed
 from vbplab.vbp import FirstFitPacker
 
@@ -131,14 +131,14 @@ def test_protocol_error_on_bad_algorithm():
         def start(self, n, t):
             self.t = t
 
-        def color_copies(self, vertex, back_edges):
+        def color_copies(self, vertex, back_mask):
             return tuple(range(self.t - 1))
 
     class RepeatsNeighbor:
         def start(self, n, t):
             self.t = t
 
-        def color_copies(self, vertex, back_edges):
+        def color_copies(self, vertex, back_mask):
             return tuple(range(self.t))  # same colors every vertex
 
     g = gen_cycle(4)
@@ -148,12 +148,15 @@ def test_protocol_error_on_bad_algorithm():
         run_algorithm_b(4, events_from_graph(g), RepeatsNeighbor(), 3, 0)
 
 
-E = OnlineVertexEvent
+# Arrival sequences that are not n back-edge masks with bits for earlier
+# vertices only: (n, masks).
 MALFORMED_EVENTS = {
-    "forward-back-edge": (2, [E(1, frozenset({2})), E(2, frozenset())]),
-    "vertex-past-n": (2, [E(1, frozenset()), E(2, frozenset()), E(3, frozenset())]),
-    "repeated-vertex": (2, [E(1, frozenset()), E(1, frozenset())]),
-    "short-stream": (3, [E(1, frozenset()), E(2, frozenset({1}))]),
+    "forward-back-edge": (2, [0b10, 0]),   # vertex 1 names vertex 2
+    "own-bit": (2, [0, 0b10]),             # vertex 2 names itself
+    "negative-mask": (2, [0, -1]),
+    "not-an-int": (2, [0, frozenset({1})]),
+    "vertex-past-n": (2, [0, 0b1, 0]),     # a long stream: a mask for vertex 3
+    "short-stream": (3, [0, 0b1]),
 }
 
 
@@ -166,6 +169,13 @@ def test_malformed_events_rejected_before_a_runs(case, make_algo):
     algo.color_copies = None  # A must not be asked to color anything
     with pytest.raises(InputError):
         run_algorithm_b(n, events, algo, 2, 0)
+
+
+@pytest.mark.parametrize("case", MALFORMED_EVENTS)
+def test_malformed_events_rejected_by_the_reduction(case):
+    n, events = MALFORMED_EVENTS[case]
+    with pytest.raises(InputError):
+        list(coloring_to_vbp(n, events))
 
 
 # ------------------------------------------------------------------ bounds

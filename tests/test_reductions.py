@@ -19,7 +19,6 @@ from vbplab.generators import (
     gen_path,
 )
 from vbplab.graphs import (
-    OnlineVertexEvent,
     chromatic_number_exact,
     events_from_graph,
     graph_from_edges,
@@ -28,7 +27,6 @@ from vbplab.graphs import (
 )
 from vbplab.reductions import (
     VbpBackedCcp,
-    ccp_to_vbp,
     coloring_to_vbp,
     packing_to_copies_coloring,
     reduce_copies,
@@ -90,24 +88,15 @@ def test_streaming_upper_coords_zero():
 
 
 def test_rejects_forward_back_edge():
-    events = [
-        OnlineVertexEvent(1, frozenset()),
-        OnlineVertexEvent(2, frozenset({2})),
-    ]
-    with pytest.raises(InputError):
-        list(coloring_to_vbp(2, events))
-
-
-def test_rejects_out_of_order_events():
-    events = [OnlineVertexEvent(2, frozenset()), OnlineVertexEvent(1, frozenset())]
-    with pytest.raises(InputError):
-        list(coloring_to_vbp(2, events))
+    rows = coloring_to_vbp(2, [0, 0b10])
+    assert next(rows) == (2, 0)  # streaming: vertex 1's row comes before the check of vertex 2
+    with pytest.raises(InputError, match="vertex 2"):
+        next(rows)
 
 
 def test_rejects_stream_short_of_n():
-    events = [OnlineVertexEvent(1, frozenset()), OnlineVertexEvent(2, frozenset({1}))]
     with pytest.raises(InputError, match="end after 2"):
-        list(coloring_to_vbp(3, events))
+        list(coloring_to_vbp(3, [0, 0b1]))
 
 
 def test_ccp_reduction_emits_t_copies():
@@ -236,21 +225,21 @@ def test_opt_equals_blowup_chi():
 def test_adapter_single_vertex():
     algo = VbpBackedCcp(FirstFitPacker())
     algo.start(1, 2)
-    assert algo.color_copies(1, frozenset()) == (0, 1)
+    assert algo.color_copies(1, 0) == (0, 1)
 
 
 def test_adapter_empty_graph_reuses_bin():
     algo = VbpBackedCcp(FirstFitPacker())
     algo.start(2, 1)
-    assert algo.color_copies(1, frozenset()) == (0,)
-    assert algo.color_copies(2, frozenset()) == (0,)
+    assert algo.color_copies(1, 0) == (0,)
+    assert algo.color_copies(2, 0) == (0,)
 
 
 def test_adapter_k2_t2_four_colors():
     algo = VbpBackedCcp(FirstFitPacker())
     algo.start(2, 2)
-    assert algo.color_copies(1, frozenset()) == (0, 1)
-    assert algo.color_copies(2, frozenset({1})) == (2, 3)
+    assert algo.color_copies(1, 0) == (0, 1)
+    assert algo.color_copies(2, 0b1) == (2, 3)
 
 
 def test_adapter_matches_first_fit_bin_count():
@@ -260,9 +249,9 @@ def test_adapter_matches_first_fit_bin_count():
         algo = VbpBackedCcp(FirstFitPacker())
         algo.start(g.n, t)
         coloring = {}
-        for ev in events_from_graph(g):
-            for k, c in enumerate(algo.color_copies(ev.vertex, ev.back_edges), 1):
-                coloring[(ev.vertex, k)] = c
+        for v, back_mask in enumerate(events_from_graph(g), 1):
+            for k, c in enumerate(algo.color_copies(v, back_mask), 1):
+                coloring[(v, k)] = c
         inst_c = CopiesInstance(g, t)
         assert validate_copies_coloring(inst_c, coloring)
         ff_bins = first_fit_online(reduce_copies(inst_c)).num_bins
@@ -281,7 +270,7 @@ def test_adapter_rejects_non_integer_bin(bin_index):
     algo = VbpBackedCcp(StrayPacker())
     algo.start(2, 1)
     with pytest.raises(ProtocolError):
-        algo.color_copies(1, frozenset())
+        algo.color_copies(1, 0)
 
 
 @pytest.mark.parametrize(
@@ -308,9 +297,9 @@ def test_adapter_surfaces_bad_packer():
 
     algo = VbpBackedCcp(BrokenPacker())
     algo.start(2, 1)
-    algo.color_copies(1, frozenset())
+    algo.color_copies(1, 0)
     with pytest.raises(ProtocolError):
-        algo.color_copies(2, frozenset({1}))
+        algo.color_copies(2, 0b1)
 
 
 # ---------------------------------------------------- first-fit correspondence

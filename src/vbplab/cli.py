@@ -1,9 +1,15 @@
 """Command-line front door: gen / reduce / run / verify / bench.
 
-Reports are canonical JSON (sorted keys) or CSV (the flat "aggregates"
-block only); re-running a fixed config reproduces the JSON byte for byte
-except the wall_time_s field. Exit codes: 0 success, 1 invariant failure,
-2 bad input, 3 resource limit.
+`gen` writes a family's graph file and takes `--seed` (for gnp); `reduce`
+turns a graph or copies file into a vbp file. Every instance, from a file
+or a family, comes through `_load_graph`, which applies `--t` over a file's
+`t` line. `run`, `verify` and `bench` print a report framed by `_report`:
+the config echo (all six report flags), the version, the body's fields
+and wall_time_s. Reports are canonical JSON (sorted keys) or CSV (the flat
+"aggregates" block only); re-running a fixed config reproduces the JSON
+byte for byte except the wall_time_s field. Exit codes: 0 success, 1
+invariant failure, 2 bad input (a bad flag or count, a negative --seed,
+or a flag the subcommand does not take), 3 resource limit.
 """
 
 from __future__ import annotations
@@ -61,10 +67,9 @@ def _fmt(x) -> str | int | float:
     return str(x) if isinstance(x, Fraction) else x
 
 
-def _emit(report: dict, fmt: str, out=None) -> None:
-    out = out if out is not None else sys.stdout
+def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     else:
         agg = report.get("aggregates", {})
         keys = sorted(agg)
@@ -72,7 +77,7 @@ def _emit(report: dict, fmt: str, out=None) -> None:
         writer = csv.writer(buf)
         writer.writerow(keys)
         writer.writerow([agg[k] for k in keys])
-        out.write(buf.getvalue())
+        sys.stdout.write(buf.getvalue())
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -83,54 +88,36 @@ def _write_text(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _config_echo(args, **extra) -> dict:
-    cfg = {
-        "subcommand": args.subcommand,
-        "seed": args.seed,
-        "jobs": args.jobs,
-        "max_n": args.max_n,
-        "max_items": args.max_items,
-    }
-    cfg.update(extra)
-    return cfg
-
-
 def _read_text(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
         return fh.read()
 
 
-def _build_family(args) -> tuple[Graph, int | None]:
+def _build_family(args, seed: int | None = None) -> tuple[Graph, int | None]:
+    """The --family graph and --t; gnp draws with `seed`, by default --seed."""
     fam = args.family
-    if fam in ("cycle", "path", "complete", "empty", "gnp") and args.n is None:
-        raise InputError(f"family {fam!r} requires --n")
-    if fam == "cycle":
-        g = gen_cycle(args.n)
-    elif fam == "path":
-        g = gen_path(args.n)
-    elif fam == "complete":
-        g = gen_complete(args.n)
-    elif fam == "empty":
-        g = gen_empty(args.n)
-    elif fam == "crown":
+    if fam == "crown":
         if args.k is None:
             raise InputError("family 'crown' requires --k")
-        g = gen_crown(args.k)
-    elif fam == "gnp":
-        g = gen_gnp(args.n, args.p, args.seed)
-    else:
-        raise InputError(f"unknown family {fam!r}")
-    return g, args.t
+        return gen_crown(args.k), args.t
+    if args.n is None:
+        raise InputError(f"family {fam!r} requires --n")
+    if fam == "gnp":
+        return gen_gnp(args.n, args.p, args.seed if seed is None else seed), args.t
+    by_n = {"cycle": gen_cycle, "path": gen_path, "complete": gen_complete, "empty": gen_empty}
+    return by_n[fam](args.n), args.t
 
 
-def _load_graph(args) -> tuple[Graph, int | None]:
-    """Instance from --input (graph/copies file) or --family; returns (G, t)."""
-    if getattr(args, "input", None) and getattr(args, "family", None):
+def _load_graph(args, text: str | None = None) -> tuple[Graph, int | None]:
+    """Instance from --input (a graph/copies file, or its `text` when already
+    read) or --family; returns (G, t), --t taking over a file's t line."""
+    family = getattr(args, "family", None)  # reduce takes no --family
+    if args.input and family:
         raise InputError("give either --input or --family, not both")
-    if getattr(args, "input", None):
-        graph, file_t = parse_instance_text(_read_text(args.input))
+    if args.input:
+        graph, file_t = parse_instance_text(_read_text(args.input) if text is None else text)
         return graph, args.t if args.t is not None else file_t
-    if getattr(args, "family", None):
+    if family:
         return _build_family(args)
     raise InputError("need an instance: --input FILE or --family NAME")
 
@@ -143,7 +130,8 @@ def _reduce(graph: Graph, t: int | None) -> VbpInstance:
 def _load_vbp(args) -> VbpInstance:
     """VBP instance from a vbp file, or the reduction of a graph/copies source
     (where `_load_graph` refuses --input together with --family)."""
-    if getattr(args, "input", None) and not getattr(args, "family", None):
+    text = None
+    if args.input and not args.family:
         text = _read_text(args.input)
         first = next(
             (ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")),
@@ -153,9 +141,7 @@ def _load_vbp(args) -> VbpInstance:
             if args.t is not None:
                 raise InputError("--t applies to graph and copies inputs, not to a vbp file")
             return parse_vbp_text(text)
-        graph, file_t = parse_instance_text(text)
-        return _reduce(graph, args.t if args.t is not None else file_t)
-    return _reduce(*_load_graph(args))
+    return _reduce(*_load_graph(args, text))
 
 
 def _first_fit_vs_bound(inst: VbpInstance, max_items: int) -> tuple[int, str, int, Fraction | None]:
@@ -179,10 +165,30 @@ def cmd_gen(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    graph, t = parse_instance_text(_read_text(args.input))
-    inst = _reduce(graph, args.t if args.t is not None else t)
-    _write_text(format_vbp_text(inst), args.output)
+    _write_text(format_vbp_text(_reduce(*_load_graph(args))), args.output)
     return 0
+
+
+def _report(args, body, config: dict, **fields) -> int:
+    """Emit the report that `body(args, report)` fills in after the config
+    echo, the version and any further top-level `fields`; wall_time_s times
+    the body. Returns the body's exit code."""
+    config = {"subcommand": args.subcommand, "seed": args.seed, "jobs": args.jobs,
+              "max_n": args.max_n, "max_items": args.max_items, **config}
+    report = {"config": config, "version": __version__, **fields}
+    start = time.perf_counter()
+    code = body(args, report)
+    report["wall_time_s"] = round(time.perf_counter() - start, 6)
+    _emit(report, args.format)
+    return code
+
+
+def _instance_echo(args, **config) -> dict:
+    """The config fields that run and bench echo about their instance."""
+    return {
+        "input": args.input, "family": args.family,
+        "n": args.n, "k": args.k, "p": args.p, "t": args.t, **config,
+    }
 
 
 def _run_greedy(args, report: dict) -> int:
@@ -259,66 +265,44 @@ def _run_algorithm_b(args, report: dict) -> int:
     return 1 if mc.infeasible_trials else 0
 
 
+_RUNS = {
+    "greedy": _run_greedy,
+    "greedy-ccp": _run_greedy_ccp,
+    "first-fit": _run_first_fit,
+    "algorithm-b": _run_algorithm_b,
+}
+
+
 def cmd_run(args) -> int:
-    report = {
-        "config": _config_echo(
-            args,
-            algorithm=args.algorithm,
-            input=getattr(args, "input", None),
-            family=getattr(args, "family", None),
-            n=args.n,
-            k=args.k,
-            p=args.p,
-            t=args.t,
-            trials=args.trials or 1,
-        ),
-        "version": __version__,
-    }
-    start = time.perf_counter()
-    runner = {
-        "greedy": _run_greedy,
-        "greedy-ccp": _run_greedy_ccp,
-        "first-fit": _run_first_fit,
-        "algorithm-b": _run_algorithm_b,
-    }[args.algorithm]
-    code = runner(args, report)
-    report["wall_time_s"] = round(time.perf_counter() - start, 6)
-    _emit(report, args.format)
-    return code
+    config = _instance_echo(args, algorithm=args.algorithm, trials=args.trials or 1)
+    return _report(args, _RUNS[args.algorithm], config)
 
 
-def cmd_verify(args) -> int:
-    start = time.perf_counter()
+def _verify(args, report: dict) -> int:
     suite = run_verification_suite(
         max_n=args.max_n, samples=args.trials or 50, seed=args.seed
     )
-    d = suite.to_dict()
-    report = {
-        "config": _config_echo(args, trials=args.trials or 50),
-        "version": __version__,
-        "suite": d,
-        "aggregates": {
-            "passed": d["passed"],
-            "checks": len(d["checks"]),
-            "checks_failed": sum(not c["ok"] for c in d["checks"]),
-            "instances": sum(c["instances"] for c in d["checks"]),
-        },
-        "wall_time_s": round(time.perf_counter() - start, 6),
+    d = report["suite"] = suite.to_dict()
+    report["aggregates"] = {
+        "passed": d["passed"],
+        "checks": len(d["checks"]),
+        "checks_failed": sum(not c["ok"] for c in d["checks"]),
+        "instances": sum(c["instances"] for c in d["checks"]),
     }
-    _emit(report, args.format)
     return 0 if suite.passed else 1
+
+
+def cmd_verify(args) -> int:
+    return _report(args, _verify, {"trials": args.trials or 50})
 
 
 def _bench_first_fit(args, report: dict) -> int:
     trials = args.trials or 1
     per_trial = []
     if args.family == "gnp" and args.input is None:
-        if args.n is None:
-            raise InputError("family 'gnp' requires --n")
-        check_reduced_size(args.n, args.t or 1)
+        check_reduced_size(args.n or 0, args.t or 1)  # a missing --n fails the first draw
         instances = (
-            _reduce(gen_gnp(args.n, args.p, trial_seed(args.seed, i)), args.t)
-            for i in range(trials)
+            _reduce(*_build_family(args, trial_seed(args.seed, i))) for i in range(trials)
         )
     else:
         instances = [_load_vbp(args)]
@@ -364,66 +348,60 @@ def _bench_algorithm_b(args, report: dict) -> int:
     return 0 if ok else 1
 
 
+_BENCHES = {"first-fit": _bench_first_fit, "algorithm-b": _bench_algorithm_b}
+
+
 def cmd_bench(args) -> int:
-    report = {
-        "config": _config_echo(
-            args,
-            target=args.target,
-            input=getattr(args, "input", None),
-            family=getattr(args, "family", None),
-            n=args.n,
-            k=args.k,
-            p=args.p,
-            t=args.t,
-            trials=args.trials,
-        ),
-        "version": __version__,
-        "backend": BACKEND,
-    }
-    start = time.perf_counter()
-    runner = {
-        "first-fit": _bench_first_fit,
-        "algorithm-b": _bench_algorithm_b,
-    }[args.target]
-    code = runner(args, report)
-    report["wall_time_s"] = round(time.perf_counter() - start, 6)
-    _emit(report, args.format)
-    return code
+    config = _instance_echo(args, target=args.target, trials=args.trials)
+    return _report(args, _BENCHES[args.target], config, backend=BACKEND)
 
 
 # ---------------------------------------------------------------- arg parsing
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type: an int no smaller than `minimum`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
 
 
-def _global_flags() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--trials", type=_positive_int, default=None, help="trial/sample count")
-    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers for trials")
+def _seed_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="master seed (default 0)")
+
+
+def _report_flags(p: argparse.ArgumentParser) -> None:
+    """The six flags every report echoes: --seed and five more."""
+    _seed_flag(p)
+    p.add_argument("--trials", type=_int_at_least(1), default=None, help="trial/sample count")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel workers for trials")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--max-n", type=int, default=16, dest="max_n",
                    help="largest graph the exact coloring oracle may attempt")
     p.add_argument("--max-items", type=int, default=14, dest="max_items",
                    help="largest instance the exact packing oracle may attempt")
-    return p
 
 
-def _instance_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", help="instance file (graph, copies, or vbp)")
-    p.add_argument("--family", choices=_FAMILIES, help="generated instance family")
+def _family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None, help="crown half-size")
     p.add_argument("--p", type=float, default=0.5, help="gnp edge probability")
-    p.add_argument("--t", type=_positive_int, default=None, help="copies per vertex")
+    p.add_argument("--t", type=_int_at_least(1), default=None, help="copies per vertex")
+
+
+def _instance_flags(p: argparse.ArgumentParser) -> None:
+    """What run and bench take: the report flags, --input or --family, and
+    the family flags."""
+    _report_flags(p)
+    p.add_argument("--input", help="instance file (graph, copies, or vbp)")
+    p.add_argument("--family", choices=_FAMILIES, help="generated instance family")
+    _family_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,35 +411,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    common = [_global_flags()]
 
-    p_gen = sub.add_parser("gen", parents=common, help="write an instance file")
+    p_gen = sub.add_parser("gen", help="write an instance file")
     p_gen.add_argument("family", choices=_FAMILIES)
-    p_gen.add_argument("--n", type=int, default=None)
-    p_gen.add_argument("--k", type=int, default=None)
-    p_gen.add_argument("--p", type=float, default=0.5)
-    p_gen.add_argument("--t", type=_positive_int, default=None)
+    _seed_flag(p_gen)
+    _family_flags(p_gen)
     p_gen.add_argument("-o", "--output", default=None, help="output file (default stdout)")
     p_gen.set_defaults(func=cmd_gen)
 
-    p_red = sub.add_parser("reduce", parents=common, help="graph/copies file -> vbp file")
+    p_red = sub.add_parser("reduce", help="graph/copies file -> vbp file")
     p_red.add_argument("input")
-    p_red.add_argument("--t", type=_positive_int, default=None, help="override copies per vertex")
+    p_red.add_argument("--t", type=_int_at_least(1), default=None, help="override copies per vertex")
     p_red.add_argument("-o", "--output", default=None)
     p_red.set_defaults(func=cmd_reduce)
 
-    p_run = sub.add_parser("run", parents=common, help="run one online algorithm")
-    p_run.add_argument(
-        "algorithm", choices=("greedy", "greedy-ccp", "first-fit", "algorithm-b")
-    )
+    p_run = sub.add_parser("run", help="run one online algorithm")
+    p_run.add_argument("algorithm", choices=_RUNS)
     _instance_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
-    p_ver = sub.add_parser("verify", parents=common, help="run the invariant suite")
+    p_ver = sub.add_parser("verify", help="run the invariant suite")
+    _report_flags(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
-    p_bench = sub.add_parser("bench", parents=common, help="measurement harness")
-    p_bench.add_argument("target", choices=("first-fit", "algorithm-b"))
+    p_bench = sub.add_parser("bench", help="measurement harness")
+    p_bench.add_argument("target", choices=_BENCHES)
     _instance_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 

@@ -145,19 +145,18 @@ def run_algorithm_b(
     algo,
     t: int,
     seed: Seed,
-    p: float | None = None,
 ) -> tuple[Coloring, SimulationStats]:
     """One seeded simulation run; returns B's coloring and its statistics.
 
-    p defaults to min(1, 2 ln(n)/t). The events must be n back-edge masks,
-    vertex v's with bits for earlier vertices only (else InputError). The
-    output coloring is feasible for the underlying graph whenever A honors
-    the copies-coloring protocol (violations raise ProtocolError).
+    p is `sampling_probability(n, t)` = min(1, 2 ln(n)/t). The events must
+    be n back-edge masks, vertex v's with bits for earlier vertices only
+    (else InputError). The output coloring is feasible for the underlying
+    graph whenever A honors the copies-coloring protocol (violations raise
+    ProtocolError).
     """
     if n < 1 or t < 1:
         raise InputError("need n >= 1 and t >= 1")
-    if p is None:
-        p = sampling_probability(n, t)
+    p = sampling_probability(n, t)
     trace = _record_trace(n, events, algo, t)
     picks, (colors_b, colors_a, fails, pool_size, feasible) = _trial(trace, p, seed)
     coloring: Coloring = dict(enumerate(picks, 1))

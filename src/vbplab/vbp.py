@@ -27,11 +27,19 @@ Vector = tuple[Fraction, ...]
 DEFAULT_EXACT_PACK_LIMIT = 14
 
 
+def _coordinate(value) -> Fraction:
+    """One exact coordinate from an int, Fraction or 'p/q' string."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad coordinate: {exc}") from exc
+
+
 def make_item(coords: Sequence) -> Vector:
     """Validated item vector; accepts ints, Fractions, or 'p/q' strings."""
     out = []
     for c in coords:
-        f = Fraction(c)
+        f = _coordinate(c)
         if not 0 <= f <= 1:
             raise InputError(f"coordinate {f} outside [0,1]")
         out.append(f)
@@ -286,11 +294,8 @@ def parse_vbp_text(text: str) -> VbpInstance:
     # reported as make_instance would: syntax first, then per item range
     # before dimension.
     values: dict[str, Fraction] = dict.fromkeys(tok for row in rows for tok in row)
-    try:
-        for tok in values:
-            values[tok] = Fraction(tok)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad coordinate: {exc}") from exc
+    for tok in values:
+        values[tok] = _coordinate(tok)
     if d < 1:
         raise InputError("dimension must be >= 1")
     outside = {tok for tok, f in values.items() if not 0 <= f <= 1}

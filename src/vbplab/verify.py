@@ -315,7 +315,7 @@ def run_verification_suite(
         check_sandwich_chain(sampled_small[: min(samples, 100)]),
         check_copies_reduction_equivalence(ccp_instances),
         check_packing_coloring_roundtrip(ccp_instances),
-        check_first_fit_correspondence(sampled_mid),
+        check_first_fit_correspondence(sampled_mid, reduction),
         check_crown_gaps(),
         check_simulation_feasibility(sampled_small, t=16, seed=seed + 2),
     )

@@ -1,6 +1,7 @@
-"""The benchmark's packing workloads on seed 1: every check passes and the
-output digests match the ones the benchmark records, so a change to what a
-packing holds cannot silently break the benchmark's reads of it."""
+"""The benchmark's workloads on seed 1: every check passes and the output
+digests match the ones the benchmark records, so a change to what a
+packing, a verify report or a pool run holds cannot silently break the
+benchmark's reads of it."""
 
 import importlib.util
 import sys
@@ -10,8 +11,11 @@ import pytest
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 SEED_1_DIGESTS = {
+    "verify": "b5f5995cf3279907",
     "exact": "53f6d11a399c5bae",
     "first-fit": "799ebf6c70af064f",
+    "algorithm-b": "faca5a1b0c3dfe50",
+    "algorithm-b-runs": "863e78c103ca04eb",
 }
 
 

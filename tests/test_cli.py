@@ -370,6 +370,16 @@ def test_no_subcommand_exits_2(capsys):
     assert main([]) == 2
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Every way into real work raises, so a test sees the argument checks only."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran despite a bad argument")
+
+    for name in ("monte_carlo_verify", "_build_family", "_read_text", "run_verification_suite"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -381,14 +391,40 @@ def test_no_subcommand_exits_2(capsys):
         ("run", "greedy-ccp", "--family", "cycle", "--n", "5", "--t", "0"),
     ],
 )
-def test_non_positive_counts_exit_2_before_any_work(monkeypatch, capsys, argv):
-    def no_work(*args, **kwargs):
-        raise AssertionError("ran despite a bad count")
-
-    for name in ("monte_carlo_verify", "_build_family", "_read_text"):
-        monkeypatch.setattr(cli, name, no_work)
+def test_non_positive_counts_exit_2_before_any_work(no_work, capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "gnp", "--n", "5", "--seed", "-1"),
+        ("run", "algorithm-b", "--family", "cycle", "--n", "5", "--t", "2", "--seed", "-3"),
+        ("verify", "--seed", "-1"),
+        ("bench", "first-fit", "--family", "gnp", "--n", "5", "--seed", "-2"),
+    ],
+    ids=["gen", "run", "verify", "bench"],
+)
+def test_negative_seed_exits_2_before_any_work(no_work, capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "must be at least 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "cycle", "--n", "5", "--jobs", "2"),
+        ("gen", "cycle", "--n", "5", "--format", "csv"),
+        ("reduce", "f.g", "--trials", "3"),
+        ("reduce", "f.g", "--max-items", "3"),
+        ("reduce", "f.g", "--seed", "1"),
+    ],
+    ids=["gen-jobs", "gen-format", "reduce-trials", "reduce-max-items", "reduce-seed"],
+)
+def test_flags_a_subcommand_does_not_read_exit_2(no_work, capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "unrecognized arguments" in err
 
 
 def test_version_flag(capsys):

@@ -22,10 +22,13 @@ from vbplab.rng import trial_seed
 from vbplab.vbp import FirstFitPacker
 
 
-def run_on(graph, t, seed, p=None):
-    return run_algorithm_b(
-        graph.n, events_from_graph(graph), GreedyCcp(), t, seed, p=p
-    )
+def run_on(graph, t, seed):
+    return run_algorithm_b(graph.n, events_from_graph(graph), GreedyCcp(), t, seed)
+
+
+def force_p(monkeypatch, p):
+    """Make every run sample with p in place of min(1, 2 ln(n)/t)."""
+    monkeypatch.setattr(pool, "sampling_probability", lambda n, t: p)
 
 
 # ------------------------------------------------------------------- p rule
@@ -81,24 +84,27 @@ def test_deterministic_given_seed():
     assert a[0] != c[0] or a[1] != c[1]  # overwhelmingly likely to differ
 
 
-def test_feasible_including_failures():
+def test_feasible_including_failures(monkeypatch):
     g = gen_gnp(8, 0.5, 28000)
-    coloring, stats = run_on(g, 8, 3, p=0.05)  # low p forces some fails
+    force_p(monkeypatch, 0.05)  # low p forces some fails
+    coloring, stats = run_on(g, 8, 3)
     assert validate_coloring(g, coloring) and stats.feasible
     specials = {v for v, c in coloring.items() if isinstance(c, str)}
     assert len(specials) == stats.fails > 0
 
 
-def test_all_fail_when_p_zero():
+def test_all_fail_when_p_zero(monkeypatch):
     g = gen_gnp(6, 0.5, 29000)
-    coloring, stats = run_on(g, 4, 0, p=0.0)
+    force_p(monkeypatch, 0.0)
+    coloring, stats = run_on(g, 4, 0)
     assert stats.fails == 6 and stats.pool_size == 0
     assert coloring == {v: special_color(v) for v in range(1, 7)}
 
 
-def test_special_color_step_linkage():
+def test_special_color_step_linkage(monkeypatch):
     g = gen_gnp(8, 0.4, 30000)
-    coloring, stats = run_on(g, 8, 11, p=0.1)
+    force_p(monkeypatch, 0.1)
+    coloring, stats = run_on(g, 8, 11)
     failed = [v for v, c in coloring.items() if not isinstance(c, int)]
     assert all(coloring[v] == special_color(v) for v in failed)
     assert len(failed) == stats.fails

@@ -62,6 +62,16 @@ def test_make_item_bounds():
         make_item((F(-1, 2),))
 
 
+@pytest.mark.parametrize("token", ["1/0", "x", None], ids=["zero-denominator", "not-a-number", "none"])
+def test_make_item_reports_a_bad_coordinate_as_parse_vbp_text_does(token):
+    with pytest.raises(InputError, match="^bad coordinate: ") as raised:
+        make_item([token])
+    if token is not None:  # a text token, so the file parser sees the same one
+        with pytest.raises(InputError) as parsed:
+            parse_vbp_text(f"vbp 1 1\n{token}\n")
+        assert str(raised.value) == str(parsed.value)
+
+
 def rows_fit(rows, d, capacity):
     """fits_together on these int rows as the items of one instance."""
     return fits_together(VbpInstance(d=d, scale=capacity, rows=tuple(rows)), range(len(rows)))

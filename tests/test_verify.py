@@ -83,6 +83,7 @@ def test_fault_injection_names_broken_invariant():
     assert not report.passed
     failing = {r.name for r in report.results if not r.ok}
     assert "subset-independence" in failing
+    assert "first-fit-correspondence" in failing
     for r in report.results:
         if r.name == "subset-independence":
             assert r.failures  # messages name the offending subset

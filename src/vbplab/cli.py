@@ -382,9 +382,9 @@ def _report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=_int_at_least(1), default=None, help="trial/sample count")
     p.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel workers for trials")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--max-n", type=int, default=16, dest="max_n",
+    p.add_argument("--max-n", type=_int_at_least(0), default=16, dest="max_n",
                    help="largest graph the exact coloring oracle may attempt")
-    p.add_argument("--max-items", type=int, default=14, dest="max_items",
+    p.add_argument("--max-items", type=_int_at_least(0), default=14, dest="max_items",
                    help="largest instance the exact packing oracle may attempt")
 
 

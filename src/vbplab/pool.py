@@ -15,7 +15,10 @@ loop: a single run is one trial, and Monte-Carlo verification runs many over
 a cached trace when A declares itself deterministic. Every vertex set is a
 mask in the convention of `Graph.masks`, bit v-1 for vertex v: an arrival's
 back edges, and a color class of A (in the trace) or of B (in a trial), so
-checking a color against earlier neighbors is one AND.
+checking a color against earlier neighbors is one AND. Every set of A's
+colors is a mask over their ranks, bit r for the r-th smallest: a step's
+copy colors (in the trace) and B's pool (one int per trial), so B's pick is
+the lowest set bit of pool & step mask, and the pool's size is its bit count.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -36,8 +38,8 @@ _REL_TOL = 1e-12
 # it is started. On a shared 2-vCPU x86 host two workers broke even with one
 # process at 100-220 ms of serial trials (starting them costs about 40 ms,
 # and they ran 4,000 crown k=8, t=64 trials only 1.3x faster), so the
-# crown k=8, t=64 run stays in process up to about 2,150 trials, and
-# G(300, 0.1) with t=64 gets two workers from about 175.
+# crown k=8, t=64 run stays in process up to about 3,000 trials, and
+# G(300, 0.1) with t=64 gets two workers from about 480.
 MIN_US_PER_WORKER = 75_000
 
 
@@ -65,28 +67,28 @@ class SimulationStats:
 
 
 @dataclass(frozen=True)
-class _TraceStep:
-    back_mask: int                # bit u-1 set for each earlier neighbor u
-    copy_colors: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class _Trace:
-    steps: tuple[_TraceStep, ...]
-    colors: tuple[int, ...]   # A's colors in first-use order: by step, ascending within one
+    back_masks: tuple[int, ...]   # per step: bit u-1 set for each earlier neighbor u
+    copy_masks: tuple[int, ...]   # per step: bit r set iff the step uses colors[r]
+    colors: tuple[int, ...]       # A's colors in ascending order: rank r is colors[r]
+    # None when first-use order is ascending (always so for GreedyCcp); else
+    # the first-use index of each rank, which puts the draws in rank order
+    draw_rank: np.ndarray | None
 
 
 def _record_trace(n, events, algo, t) -> _Trace:
     """Drive A over the arrival sequence, checking the protocol as we go.
 
     The back-edge masks are checked (one per vertex 1..n, bits for earlier
-    vertices only) before A sees any of them.
+    vertices only) before A sees any of them. Copy masks are built over
+    first-use indices, then renumbered to ranks when the two orders differ.
     """
     events = list(checked_events(n, events))
     algo.start(n, t)
     classes: dict[int, int] = {}   # A's color -> mask of the vertices using it
+    index: dict[int, int] = {}     # A's color -> its position in first_use
     first_use: list[int] = []
-    steps: list[_TraceStep] = []
+    copy_masks: list[int] = []
     for v, back_mask in enumerate(events, 1):
         colors = tuple(algo.color_copies(v, back_mask))
         if len(colors) != t or len(set(colors)) != t:
@@ -96,31 +98,55 @@ def _record_trace(n, events, algo, t) -> _Trace:
             )
         if any(not isinstance(c, int) or c < 0 for c in colors):
             raise ProtocolError("copy colors must be nonnegative integers")
+        mask = 0
         for c in sorted(colors):
             members = classes.get(c, 0)
             if not members:
+                index[c] = len(first_use)
                 first_use.append(c)
             elif members & back_mask:
                 raise ProtocolError(f"algorithm reused a neighbor's color at vertex {v}")
             classes[c] = members | 1 << (v - 1)
-        steps.append(_TraceStep(back_mask, colors))
-    return _Trace(tuple(steps), tuple(first_use))
+            mask |= 1 << index[c]
+        copy_masks.append(mask)
+    ranked = sorted(first_use)
+    draw_rank = None
+    if ranked != first_use:
+        draw_rank = np.argsort(first_use)
+        rank = np.argsort(draw_rank).tolist()   # first-use index -> rank
+        copy_masks = [_renumber(mask, rank) for mask in copy_masks]
+    return _Trace(tuple(events), tuple(copy_masks), tuple(ranked), draw_rank)
+
+
+def _renumber(mask: int, rank: list[int]) -> int:
+    """Move each set bit i of mask to bit rank[i]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << rank[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def _pool_phase(trace, p, rng) -> tuple[int, list[ColorId]]:
     """B's seeded pool phase over A's recorded trace.
 
     Every color of A is seen by the step that uses it, so the whole pool is
-    drawn up front. Returns the pool's size and, per step, B's color: the
-    smallest pooled copy color, or the step's special color when there is
-    none.
+    drawn up front, in first-use order, and kept as a rank mask. Returns the
+    pool's size and, per step, B's color: the smallest pooled copy color (the
+    lowest set bit of pool & copy mask), or the step's special color when
+    there is none.
     """
-    pool = set(compress(trace.colors, (rng.random(len(trace.colors)) < p).tolist()))
+    drawn = rng.random(len(trace.colors)) < p
+    if trace.draw_rank is not None:
+        drawn = drawn[trace.draw_rank]
+    pool = int.from_bytes(np.packbits(drawn, bitorder="little").tobytes(), "little")
+    colors = trace.colors
     picks = []
-    for step, ts in enumerate(trace.steps, 1):
-        candidates = pool.intersection(ts.copy_colors)
-        picks.append(min(candidates) if candidates else special_color(step))
-    return len(pool), picks
+    for step, mask in enumerate(trace.copy_masks, 1):
+        hit = pool & mask
+        picks.append(colors[(hit & -hit).bit_length() - 1] if hit else special_color(step))
+    return pool.bit_count(), picks
 
 
 def _trial(trace, p, seed) -> tuple[list[ColorId], tuple[int, int, int, int, bool]]:
@@ -130,11 +156,11 @@ def _trial(trace, p, seed) -> tuple[list[ColorId], tuple[int, int, int, int, boo
     pool_size, picks = _pool_phase(trace, p, make_rng(seed))
     classes: dict[ColorId, int] = {}
     fails = clash = 0
-    for v, (ts, color) in enumerate(zip(trace.steps, picks)):
+    for v, (back_mask, color) in enumerate(zip(trace.back_masks, picks)):
         if isinstance(color, str):
             fails += 1
         members = classes.get(color, 0)
-        clash |= members & ts.back_mask
+        clash |= members & back_mask
         classes[color] = members | 1 << v
     return picks, (len(classes), len(trace.colors), fails, pool_size, not clash)
 
@@ -228,11 +254,11 @@ def _workers(jobs: int, trials: int, n: int, t: int) -> int:
     at most jobs, trials and CPUs, and one per MIN_US_PER_WORKER of modeled
     trial time; 1 or less runs them in this process.
 
-    A trial is modeled at 25 us to seed its generator, 1.2 us a step and
-    0.025 us a copy color, which is within 25% of the measured time on seven
-    graphs from a 5-cycle with t=2 (30 us) to G(300, 0.1) with t=64 (820 us).
+    A trial is modeled at 35 us to seed its generator, 0.6 us a step and
+    0.005 us a copy color, which is within 25% of the measured time on seven
+    graphs from a 5-cycle with t=2 (41 us) to G(300, 0.1) with t=64 (285 us).
     """
-    work_us = trials * (25 + n * (1.2 + t / 40))
+    work_us = trials * (35 + n * (0.6 + t / 200))
     return min(jobs, trials, os.cpu_count() or 1, int(work_us // MIN_US_PER_WORKER))
 
 

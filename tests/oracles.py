@@ -7,9 +7,10 @@ code tested against itself.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 
 from vbplab.graphs import Graph
+from vbplab.pool import special_color
 from vbplab.ratlp import SimplexError
 
 
@@ -94,6 +95,18 @@ def naive_first_fit(items, d: int) -> list[list[int]]:
 def fraction_fits(items, d: int) -> bool:
     """True iff the exact Fraction items share one unit bin, summed coordinate by coordinate."""
     return all(sum((w[j] for w in items), Fraction(0)) <= 1 for j in range(d))
+
+
+def naive_pool_phase(copy_colors, first_use, p, rng):
+    """B's pool phase on Python sets: one draw per color of first_use, in
+    that order, then per step the smallest pooled copy color, or the step's
+    special color when there is none. Returns the pool's size and the picks."""
+    pool = set(compress(first_use, (rng.random(len(first_use)) < p).tolist()))
+    picks = []
+    for step, colors in enumerate(copy_colors, 1):
+        candidates = pool.intersection(colors)
+        picks.append(min(candidates) if candidates else special_color(step))
+    return len(pool), picks
 
 
 def brute_is_independent(graph: Graph, subset) -> bool:

@@ -411,6 +411,21 @@ def test_negative_seed_exits_2_before_any_work(no_work, capsys, argv):
     assert code == 2 and out == "" and "must be at least 0" in err
 
 
+@pytest.mark.parametrize("flag", ["--max-n", "--max-items"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "greedy", "--family", "cycle", "--n", "5"),
+        ("run", "first-fit", "--family", "cycle", "--n", "5"),
+        ("verify",),
+    ],
+    ids=["run-greedy", "run-first-fit", "verify"],
+)
+def test_negative_size_limit_exits_2_before_any_work(no_work, capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv, flag, "-1")
+    assert code == 2 and out == "" and "must be at least 0" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

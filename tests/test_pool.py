@@ -2,8 +2,11 @@
 
 import math
 import os
+import random
+from dataclasses import astuple
 
 import pytest
+from oracles import naive_pool_phase
 
 from vbplab import pool
 from vbplab.copies import CopiesInstance, GreedyCcp, color_class_vertices, greedy_online_ccp
@@ -18,7 +21,7 @@ from vbplab.pool import (
     special_color,
 )
 from vbplab.reductions import VbpBackedCcp, coloring_to_vbp
-from vbplab.rng import trial_seed
+from vbplab.rng import make_rng, trial_seed
 from vbplab.vbp import FirstFitPacker
 
 
@@ -65,6 +68,75 @@ def test_single_vertex_graph():
     g = graph_from_edges(1, [])
     coloring, stats = run_on(g, 4, 0)
     assert coloring == {1: 0} and stats.fails == 0
+
+
+class ScrambledCcp:
+    """A deterministic copies coloring that is First-Fit on copies, except
+    that vertex v's copies take the t smallest open colors from v % 3 up, so
+    a step can mix colors used before with new ones. Color c is then named
+    names[c], a fixed random renaming, so A's first-use order is not
+    ascending and a step's earliest used pooled color is often not its
+    smallest."""
+
+    deterministic = True
+    names = tuple(random.Random(1).sample(range(10_000), 512))
+
+    def start(self, n, t):
+        self.t = t
+        self.classes = []
+
+    def color_copies(self, vertex, back_mask):
+        colors = []
+        c = vertex % 3
+        while len(colors) < self.t:
+            self.classes += [0] * (c + 1 - len(self.classes))
+            if not self.classes[c] & back_mask:
+                self.classes[c] |= 1 << (vertex - 1)
+                colors.append(self.names[c])
+            c += 1
+        return tuple(colors)
+
+
+def naive_run(graph, t, p, seed):
+    """run_algorithm_b for ScrambledCcp by the set-based oracle: B's
+    coloring, its stats as a tuple, and A's first-use order."""
+    algo = ScrambledCcp()
+    algo.start(graph.n, t)
+    copy_colors = [algo.color_copies(v, m) for v, m in enumerate(events_from_graph(graph), 1)]
+    first_use = list(dict.fromkeys(c for colors in copy_colors for c in sorted(colors)))
+    pool_size, picks = naive_pool_phase(copy_colors, first_use, p, make_rng(seed))
+    coloring = dict(enumerate(picks, 1))
+    fails = sum(isinstance(c, str) for c in picks)
+    stats = (len(first_use), len(set(picks)), fails, pool_size, p, validate_coloring(graph, coloring))
+    return coloring, stats, first_use
+
+
+@pytest.mark.parametrize("forced_p", [None, 0.0, 1.0], ids=["p-rule", "p0", "p1"])
+def test_pool_phase_matches_set_oracle_when_first_use_is_not_ascending(monkeypatch, forced_p):
+    if forced_p is not None:
+        force_p(monkeypatch, forced_p)
+    unsorted = 0
+    for i in range(12):
+        g = gen_gnp(4 + i, 0.4, 35000 + i)
+        for t in (1, 3, 8):
+            p = pool.sampling_probability(g.n, t)
+            for seed in range(4):
+                coloring, stats = run_algorithm_b(g.n, events_from_graph(g), ScrambledCcp(), t, seed)
+                want_coloring, want_stats, first_use = naive_run(g, t, p, seed)
+                assert (coloring, astuple(stats)) == (want_coloring, want_stats)
+                unsorted += first_use != sorted(first_use)
+    assert unsorted >= 100   # most runs need their draws put in rank order
+    # trials run in worker processes carry the same trace, draw order included
+    g = gen_gnp(9, 0.4, 35100)
+    serial = monte_carlo_verify(g, ScrambledCcp(), 8, 12, 17)
+    p = pool.sampling_probability(g.n, 8)
+    want = [naive_run(g, 8, p, trial_seed(17, i))[1] for i in range(12)]
+    assert serial.colors_b_per_trial == tuple(s[1] for s in want)
+    assert serial.fails_per_trial == tuple(s[2] for s in want)
+    monkeypatch.setattr(pool, "MIN_US_PER_WORKER", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert pool._workers(2, 12, g.n, 8) == 2
+    assert monte_carlo_verify(g, ScrambledCcp(), 8, 12, 17, jobs=2) == serial
 
 
 def test_crown_regression_snapshot():
@@ -283,9 +355,9 @@ def test_worker_count_follows_modeled_work(monkeypatch):
     # crown k=8 (n = 16), t = 64: 2,000 trials stay in process, 10,000 get two
     assert pool._workers(2, 2000, 16, 64) <= 1
     assert pool._workers(2, 10_000, 16, 64) == 2
-    # a trial on G(300, p) with t = 64 costs about 12 crown trials
-    assert pool._workers(2, 100, 300, 64) <= 1
-    assert pool._workers(2, 200, 300, 64) == 2
+    # a trial on G(300, p) with t = 64 costs about 6 crown trials
+    assert pool._workers(2, 200, 300, 64) <= 1
+    assert pool._workers(2, 500, 300, 64) == 2
     assert pool._workers(8, 10**6, 300, 64) == 4
     assert pool._workers(1, 10**6, 300, 64) == 1
 

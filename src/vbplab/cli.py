@@ -195,14 +195,12 @@ def _run_greedy(args, report: dict) -> int:
     graph, _ = _load_graph(args)
     coloring = greedy_online_coloring(graph)
     n_colors = len(set(coloring.values()))
-    record = {"colors": n_colors}
     agg = {"colors": n_colors, "n": graph.n}
     if graph.n <= args.max_n:
         chi, _w = chromatic_number_exact(graph, limit=args.max_n)
         agg["chi"] = chi
         agg["gap"] = _fmt(Fraction(n_colors, chi)) if chi else None
-    trials = args.trials or 1
-    report["per_trial"] = [record] * trials
+    report["per_trial"] = [{"colors": n_colors}]
     report["aggregates"] = agg
     return 0
 
@@ -218,8 +216,7 @@ def _run_greedy_ccp(args, report: dict) -> int:
     if graph.n * t <= args.max_n:
         chi_t, _w = chromatic_number_copies_exact(inst, limit=args.max_n)
         agg["chi_blowup"] = chi_t
-    trials = args.trials or 1
-    report["per_trial"] = [{"colors": n_colors}] * trials
+    report["per_trial"] = [{"colors": n_colors}]
     report["aggregates"] = agg
     return 0
 
@@ -227,8 +224,7 @@ def _run_greedy_ccp(args, report: dict) -> int:
 def _run_first_fit(args, report: dict) -> int:
     inst = _load_vbp(args)
     bins, bound_name, bound, gap = _first_fit_vs_bound(inst, args.max_items)
-    trials = args.trials or 1
-    report["per_trial"] = [{"bins": bins}] * trials
+    report["per_trial"] = [{"bins": bins}]
     agg = {"bins": bins, "items": inst.n, "d": inst.d, bound_name: bound}
     agg["gap" if bound_name == "opt" else "gap_vs_lower"] = _fmt(gap)
     report["aggregates"] = agg
@@ -274,6 +270,8 @@ _RUNS = {
 
 
 def cmd_run(args) -> int:
+    if args.trials is not None and args.algorithm != "algorithm-b":
+        raise InputError(f"{args.algorithm} is deterministic: only algorithm-b takes --trials")
     config = _instance_echo(args, algorithm=args.algorithm, trials=args.trials or 1)
     return _report(args, _RUNS[args.algorithm], config)
 

@@ -34,7 +34,6 @@ from .graphs import (
     events_from_graph,
     fractional_chromatic_exact,
     greedy_online_coloring,
-    is_independent_set,
     validate_coloring,
 )
 from .pool import run_algorithm_b
@@ -122,25 +121,51 @@ def check_reduction_equivalence(
     return CheckResult("reduction-equivalence", count, tuple(failures))
 
 
+def _subset_table(n: int) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
+    """Every subset of vertices 1..n in `combinations` order (by size, then
+    lexicographic) as (vertex mask, index of its lowest vertex, 1-based
+    vertices, 0-based items); the empty set's lowest index is -1."""
+    table = []
+    for r in range(n + 1):
+        for items in combinations(range(n), r):
+            mask = sum(1 << i for i in items)
+            low = items[0] if items else -1
+            table.append((mask, low, tuple(i + 1 for i in items), items))
+    return table
+
+
 def check_subset_independence(
     graphs: Iterable[Graph],
     reduction: Callable[[Graph], VbpInstance] = reduce_graph,
 ) -> CheckResult:
-    """S fits in one unit bin iff S is independent, over all 2^n subsets."""
+    """S fits in one unit bin iff S is independent, over all 2^n subsets.
+
+    The subsets are walked as a lattice, smallest first, from one table per
+    vertex count: S is independent iff S minus its lowest vertex v is and v
+    has no neighbour in the rest, read from `Graph.masks`. The fit side asks
+    the program's own `fits_together` once per subset, the empty set too.
+    """
     failures = []
     count = 0
+    tables: dict[int, list] = {}
     for g in graphs:
         count += 1
         inst = reduction(g)
-        verts = list(g.vertices)
-        for r in range(len(verts) + 1):
-            for subset in combinations(verts, r):
-                fits = fits_together(inst, [v - 1 for v in subset])
-                indep = is_independent_set(g, subset)
-                if fits != indep:
-                    failures.append(
-                        f"subset {subset} fits={fits} independent={indep} on {_label(g)}"
-                    )
+        table = tables.get(g.n)
+        if table is None:
+            table = tables[g.n] = _subset_table(g.n)
+        masks = g.masks
+        independent = [True] * (1 << g.n)
+        for mask, low, subset, items in table:
+            fits = fits_together(inst, items)
+            if mask:
+                rest = mask & (mask - 1)
+                independent[mask] = independent[rest] and not masks[low] & rest
+            indep = independent[mask]
+            if fits != indep:
+                failures.append(
+                    f"subset {subset} fits={fits} independent={indep} on {_label(g)}"
+                )
     return CheckResult("subset-independence", count, tuple(failures))
 
 
@@ -288,7 +313,10 @@ def run_verification_suite(
     """The full invariant suite over enumerated and seeded small instances.
 
     max_n caps the exhaustive enumeration (hard-limited to 5); samples sets
-    the number of seeded G(n, 1/2) draws per sampled check.
+    the number of seeded G(n, 1/2) draws per sampled check. `reduction` runs
+    once per corpus graph: the reduction-equivalence and subset-independence
+    checks both read those instances (and their packed rows) through a
+    lookup, and first-fit-correspondence reduces its own sampled graphs.
     """
     if max_n < 1 or samples < 1:
         raise InputError("need max_n >= 1 and samples >= 1")
@@ -309,9 +337,14 @@ def run_verification_suite(
         ccp_instances.append(CopiesInstance(gen_cycle(5), 2))
 
     corpus = list(chain(enumerated, sampled_small))
+    reduced = {id(g): reduction(g) for g in corpus}
+
+    def corpus_reduction(g: Graph) -> VbpInstance:
+        return reduced[id(g)]
+
     results = (
-        check_reduction_equivalence(corpus, reduction),
-        check_subset_independence(corpus, reduction),
+        check_reduction_equivalence(corpus, corpus_reduction),
+        check_subset_independence(corpus, corpus_reduction),
         check_sandwich_chain(sampled_small[: min(samples, 100)]),
         check_copies_reduction_equivalence(ccp_instances),
         check_packing_coloring_roundtrip(ccp_instances),

@@ -9,9 +9,11 @@ code tested against itself.
 from fractions import Fraction
 from itertools import combinations, compress
 
-from vbplab.graphs import Graph
+from vbplab.graphs import Graph, is_independent_set
 from vbplab.pool import special_color
 from vbplab.ratlp import SimplexError
+from vbplab.vbp import fits_together
+from vbplab.verify import CheckResult
 
 
 def brute_chromatic(graph: Graph) -> int:
@@ -112,6 +114,27 @@ def naive_pool_phase(copy_colors, first_use, p, rng):
 def brute_is_independent(graph: Graph, subset) -> bool:
     s = set(subset)
     return not any(u in s and v in s for u, v in graph.edges)
+
+
+def naive_subset_independence(graphs, reduction) -> CheckResult:
+    """The subset-independence check subset by subset: each subset built
+    afresh by `combinations` and tested with `is_independent_set`."""
+    failures = []
+    count = 0
+    for g in graphs:
+        count += 1
+        inst = reduction(g)
+        verts = list(g.vertices)
+        for r in range(len(verts) + 1):
+            for subset in combinations(verts, r):
+                fits = fits_together(inst, [v - 1 for v in subset])
+                indep = is_independent_set(g, subset)
+                if fits != indep:
+                    failures.append(
+                        f"subset {subset} fits={fits} independent={indep} "
+                        f"on n={g.n} edges={sorted(g.edges)}"
+                    )
+    return CheckResult("subset-independence", count, tuple(failures))
 
 
 def naive_greedy_coloring(graph: Graph) -> dict[int, int]:

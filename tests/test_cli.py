@@ -396,6 +396,15 @@ def test_non_positive_counts_exit_2_before_any_work(no_work, capsys, argv):
     assert code == 2 and out == "" and "must be at least 1" in err
 
 
+@pytest.mark.parametrize("algorithm", ["greedy", "greedy-ccp", "first-fit"])
+def test_trials_on_a_deterministic_run_exits_2_before_any_work(no_work, capsys, algorithm):
+    # one run of a deterministic algorithm is every run: --trials would
+    # only repeat its row
+    argv = ("run", algorithm, "--family", "cycle", "--n", "5", "--t", "2", "--trials", "3")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and f"{algorithm} is deterministic" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -44,7 +44,7 @@ CASES = {
     "reduce-graph-t": ("reduce", "c5.g", "--t", "2"),
     "reduce-copies-t": ("reduce", "k3t2.g", "--t", "1"),
     "run-greedy-family": ("run", "greedy", "--family", "crown", "--k", "4"),
-    "run-greedy-file": ("run", "greedy", "--input", "crown3.g", "--trials", "2"),
+    "run-greedy-file": ("run", "greedy", "--input", "crown3.g"),
     "run-greedy-csv": ("run", "greedy", "--input", "c5.g", "--format", "csv"),
     "run-greedy-ccp-family": ("run", "greedy-ccp", "--family", "complete", "--n", "2", "--t", "2"),
     "run-greedy-ccp-file": ("run", "greedy-ccp", "--input", "k3t2.g"),
@@ -53,7 +53,7 @@ CASES = {
     "run-first-fit-graph": ("run", "first-fit", "--input", "crown3.g"),
     "run-first-fit-graph-t": ("run", "first-fit", "--input", "c5.g", "--t", "2"),
     "run-first-fit-copies": ("run", "first-fit", "--input", "k3t2.g"),
-    "run-first-fit-vbp": ("run", "first-fit", "--input", "c5.vbp", "--trials", "3"),
+    "run-first-fit-vbp": ("run", "first-fit", "--input", "c5.vbp"),
     "run-first-fit-lower-bound": (
         "run", "first-fit", "--family", "crown", "--k", "5", "--max-items", "5",
     ),

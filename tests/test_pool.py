@@ -226,6 +226,29 @@ def test_protocol_error_on_bad_algorithm():
         run_algorithm_b(4, events_from_graph(g), RepeatsNeighbor(), 3, 0)
 
 
+@pytest.mark.parametrize(
+    "colors, message",
+    [
+        ((-1, 0, 1), "nonnegative integers"),
+        (("0", 1, 2), "nonnegative integers"),
+        ((0, 1, 2.0), "nonnegative integers"),
+        ((0, 1, 1), "2 distinct colors for vertex 1, expected 3"),
+    ],
+    ids=["negative", "str", "float", "repeated"],
+)
+def test_protocol_error_on_bad_copy_colors(colors, message):
+    class Fixed:
+        def start(self, n, t):
+            pass
+
+        def color_copies(self, vertex, back_mask):
+            return colors
+
+    g = gen_cycle(4)
+    with pytest.raises(ProtocolError, match=message):
+        run_algorithm_b(4, events_from_graph(g), Fixed(), 3, 0)
+
+
 # Arrival sequences that are not n back-edge masks with bits for earlier
 # vertices only: (n, masks).
 MALFORMED_EVENTS = {
@@ -320,7 +343,11 @@ def test_monte_carlo_matches_sequential_runs():
         assert rep.fails_per_trial[i] == stats.fails
 
 
-def test_monte_carlo_jobs_do_not_change_report():
+def test_monte_carlo_jobs_do_not_change_report(monkeypatch):
+    # at the real MIN_US_PER_WORKER these 30 trials would stay in process
+    monkeypatch.setattr(pool, "MIN_US_PER_WORKER", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert pool._workers(3, 30, 6, 16) > 1
     g = gen_crown(3)
     a = monte_carlo_verify(g, GreedyCcp(), 16, 30, 7, jobs=1)
     b = monte_carlo_verify(g, GreedyCcp(), 16, 30, 7, jobs=3)

@@ -3,15 +3,23 @@
 import dataclasses
 
 import pytest
+from oracles import naive_subset_independence
 
 from vbplab import verify
 from vbplab.copies import CopiesInstance, GreedyCcp
 from vbplab.errors import InputError
-from vbplab.generators import gen_complete, gen_cycle, gen_path
+from vbplab.generators import (
+    all_connected_graphs,
+    all_graphs,
+    gen_complete,
+    gen_cycle,
+    gen_gnp,
+    gen_path,
+)
 from vbplab.graphs import events_from_graph, validate_coloring
 from vbplab.pool import run_algorithm_b
 from vbplab.reductions import reduce_graph
-from vbplab.vbp import Bin, PackingState
+from vbplab.vbp import Bin, PackingState, fits_together
 from vbplab.verify import (
     check_copies_reduction_equivalence,
     check_crown_gaps,
@@ -72,14 +80,23 @@ def test_individual_checks_on_known_graphs():
     assert check_copies_reduction_equivalence(ccp).ok
 
 
-def test_fault_injection_names_broken_invariant():
-    # zeroing the first coordinate lets adjacent items share a bin
-    def corrupted(graph):
-        inst = reduce_graph(graph)
-        dropped = (tuple(0 if j == 0 else e for j, e in enumerate(row)) for row in inst.rows)
-        return type(inst).from_rows(inst.d, inst.scale, dropped)
+def zero_first_coordinate(graph):
+    """Zeroing the first coordinate lets adjacent items share a bin."""
+    inst = reduce_graph(graph)
+    dropped = (tuple(0 if j == 0 else e for j, e in enumerate(row)) for row in inst.rows)
+    return type(inst).from_rows(inst.d, inst.scale, dropped)
 
-    report = run_verification_suite(max_n=3, samples=5, seed=0, reduction=corrupted)
+
+def heavy_back_edges(graph):
+    """Inflating back-edge marks to 1 makes vertices with a shared earlier
+    neighbor collide even when independent: opt jumps past chi."""
+    inst = reduce_graph(graph)
+    heavy = (tuple(inst.scale if e != 0 else 0 for e in row) for row in inst.rows)
+    return type(inst).from_rows(inst.d, inst.scale, heavy)
+
+
+def test_fault_injection_names_broken_invariant():
+    report = run_verification_suite(max_n=3, samples=5, seed=0, reduction=zero_first_coordinate)
     assert not report.passed
     failing = {r.name for r in report.results if not r.ok}
     assert "subset-independence" in failing
@@ -90,16 +107,59 @@ def test_fault_injection_names_broken_invariant():
 
 
 def test_fault_injection_heavy_back_edges():
-    # inflating back-edge marks to 1 makes vertices with a shared earlier
-    # neighbor collide even when independent: opt jumps past chi
-    def corrupted(graph):
-        inst = reduce_graph(graph)
-        heavy = (tuple(inst.scale if e != 0 else 0 for e in row) for row in inst.rows)
-        return type(inst).from_rows(inst.d, inst.scale, heavy)
-
-    report = run_verification_suite(max_n=3, samples=5, seed=0, reduction=corrupted)
+    report = run_verification_suite(max_n=3, samples=5, seed=0, reduction=heavy_back_edges)
     failing = {r.name for r in report.results if not r.ok}
     assert "reduction-equivalence" in failing
+
+
+@pytest.mark.parametrize(
+    "reduction", [reduce_graph, zero_first_coordinate, heavy_back_edges],
+    ids=["honest", "zero-first-coordinate", "heavy-back-edges"],
+)
+def test_subset_walk_matches_naive_check(reduction):
+    # count, failure text and failure order all match the subset-by-subset check
+    graphs = [g for n in range(1, 5) for g in all_graphs(n)]
+    graphs += [gen_gnp(1 + i % 7, 0.5, 500 + i) for i in range(20)]
+    result = check_subset_independence(graphs, reduction)
+    assert result == naive_subset_independence(graphs, reduction)
+    assert result.ok == (reduction is reduce_graph)
+
+
+def test_subset_check_keeps_the_traced_call_counts(monkeypatch):
+    # the benchmark traces one reduction and 16 fit tests for C4, one per
+    # subset, and rebinds the reduction through the check's default
+    assert check_subset_independence.__defaults__ == (reduce_graph,)
+    reduced, fits = [], []
+
+    def counting_reduction(graph):
+        reduced.append(graph)
+        return reduce_graph(graph)
+
+    def counting_fits(inst, items):
+        fits.append(items)
+        return fits_together(inst, items)
+
+    monkeypatch.setattr(check_subset_independence, "__defaults__", (counting_reduction,))
+    monkeypatch.setattr(verify, "fits_together", counting_fits)
+    assert check_subset_independence([gen_cycle(4)]).ok
+    assert len(reduced) == 1 and len(fits) == 16
+
+
+def test_suite_reduces_each_graph_once():
+    # reduction-equivalence and subset-independence share one reduction of
+    # each corpus graph; first-fit-correspondence reduces its own samples
+    reduced = []
+
+    def counting_reduction(graph):
+        reduced.append(graph)
+        return reduce_graph(graph)
+
+    report = run_verification_suite(max_n=3, samples=5, seed=0, reduction=counting_reduction)
+    counts = {r.name: r.instances for r in report.results}
+    corpus = sum(1 for n in range(1, 4) for _ in all_connected_graphs(n)) + 5
+    assert counts["reduction-equivalence"] == counts["subset-independence"] == corpus
+    assert len(reduced) == corpus + counts["first-fit-correspondence"] == corpus + 5
+    assert len({id(g) for g in reduced}) == len(reduced)
 
 
 def test_first_fit_check_reports_infeasible_packing(monkeypatch):

@@ -12,8 +12,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator
 
+from . import kernels
 from .errors import InputError, ResourceLimitError
-from .graphs import Graph, graph_from_edges, is_connected
+from .graphs import Graph, graph_from_edges, masks_connected
 from .rng import Seed, make_rng
 
 # The largest graph a reduction takes with one copy per vertex (n*n <= 2^24);
@@ -103,6 +104,18 @@ def all_graphs(n: int) -> Iterator[Graph]:
 
 
 def all_connected_graphs(n: int) -> Iterator[Graph]:
-    for g in all_graphs(n):
-        if is_connected(g):
-            yield g
+    """The connected graphs of all_graphs(n), in its order. Each edge set is
+    tested as neighbour masks, and only a connected one becomes a Graph."""
+    if n < 1:
+        raise InputError("need n >= 1")
+    pairs = list(combinations(range(1, n + 1), 2))
+    for bits in range(1 << len(pairs)):
+        if bits.bit_count() < n - 1:
+            continue    # too few edges to span n vertices
+        edges = [pairs[i] for i in kernels.bits(bits)]
+        masks = [0] * n
+        for u, v in edges:
+            masks[u - 1] |= 1 << (v - 1)
+            masks[v - 1] |= 1 << (u - 1)
+        if masks_connected(masks):
+            yield Graph(n=n, edges=frozenset(edges))

@@ -4,12 +4,13 @@ Vertices are 1..n and the vertex id *is* the arrival position. Color ids are
 opaque: plain non-negative integers for regular colors, with the string
 namespace "s:<step>" reserved for the pool simulation's special colors.
 
-Every vertex-set test (independence, connectivity, cliques, First-Fit
-coloring, maximal independent sets, the coloring kernel) reads one form,
-`Graph.masks`: bit u-1 of masks[v-1] is set iff u ~ v. Online algorithms see
-a graph as `events_from_graph` presents it, in the same convention: entry
-v-1 is vertex v's back-edge mask, bit u-1 for each earlier neighbour u. The
-greedy baseline, `greedy_online_coloring`, colors in that order.
+Every vertex-set test (independence, connectivity, cliques, coloring
+validation, First-Fit coloring, maximal independent sets, the coloring
+kernel) reads one form, `Graph.masks`: bit u-1 of masks[v-1] is set iff
+u ~ v. Online algorithms see a graph as `events_from_graph` presents it, in
+the same convention: entry v-1 is vertex v's back-edge mask, bit u-1 for
+each earlier neighbour u. The greedy baseline, `greedy_online_coloring`,
+colors in that order.
 
 The exact oracles (chromatic number, fractional chromatic number) are meant
 for small instances and refuse loudly above their size limits rather than
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from . import kernels, ratlp
 from .errors import InputError, ResourceLimitError
@@ -96,27 +97,43 @@ def is_independent_set(graph: Graph, vertices: Iterable[int]) -> bool:
 
 def validate_coloring(graph: Graph, coloring: Coloring) -> bool:
     """True iff endpoints of every edge differ; InputError unless the
-    coloring assigns exactly the graph's vertices."""
+    coloring assigns exactly the graph's vertices.
+
+    One pass in vertex order keeps each color's class as a vertex mask; v
+    conflicts with its class iff the class meets masks[v-1]. A conflict
+    does not end the pass, so a partial coloring always raises.
+    """
     if len(coloring) > graph.n:
         stray = next(v for v in coloring if v not in graph.vertices)
         raise InputError(f"coloring assigns {stray!r}, not a vertex of the graph")
-    for v in graph.vertices:
-        if v not in coloring:
-            raise InputError(f"coloring is partial: vertex {v} unassigned")
-    return all(coloring[u] != coloring[v] for u, v in graph.edges)
+    classes: dict[ColorId, int] = {}
+    conflict = 0
+    for v, mask in enumerate(graph.masks):
+        try:
+            c = coloring[v + 1]
+        except KeyError:
+            raise InputError(f"coloring is partial: vertex {v + 1} unassigned") from None
+        members = classes.get(c, 0)
+        conflict |= members & mask
+        classes[c] = members | 1 << v
+    return not conflict
 
 
 def is_connected(graph: Graph) -> bool:
-    if graph.n <= 1:
+    return masks_connected(graph.masks)
+
+
+def masks_connected(masks: Sequence[int]) -> bool:
+    """True iff the graph with these 0-based neighbour masks is connected."""
+    if len(masks) <= 1:
         return True
-    masks = graph.masks
     seen = 1
     stack = [0]
     while stack:
         new = masks[stack.pop()] & ~seen
         seen |= new
         stack.extend(kernels.bits(new))
-    return seen == (1 << graph.n) - 1
+    return seen == (1 << len(masks)) - 1
 
 
 # --- online arrival events -------------------------------------------------
@@ -187,10 +204,10 @@ def chromatic_number_exact(
     if graph.n == 0:
         return 0, {}
     masks = graph.masks
-    # Degree-descending order, ties by index, for both greedy bounds.
-    order = sorted(range(graph.n), key=lambda v: (-masks[v].bit_count(), v))
+    # One degree-descending order for both greedy bounds and the search.
+    order = kernels.degree_order(masks)
     chi, colors = kernels.chromatic_bnb(
-        masks, _greedy_clique_size(masks, order), _first_fit(masks, order)
+        masks, order, _greedy_clique_size(masks, order), _first_fit(masks, order)
     )
     return chi, {v + 1: colors[v] for v in range(graph.n)}
 

@@ -4,7 +4,9 @@ The two branch-and-bound searches behind the exact oracles: minimum
 coloring (graphs.chromatic_number_exact) and minimum-bin vector packing
 (vbp.opt_exact). Both run on plain Python ints, which bound neither the
 number of vertices nor a VBP instance's capacity `scale`. The coloring
-kernel takes a graph as the neighbour bitmasks of `graphs.Graph.masks`.
+kernel takes a graph as the neighbour bitmasks of `graphs.Graph.masks`,
+keeps each color class as the mask of its neighbourhood, and restores a
+node's state by one slice assignment per branch.
 The packing kernel takes its rows and bin loads in the one packed-int form
 that `vbp.Lanes` defines, so its fit test is one add and one AND.
 
@@ -44,15 +46,29 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def chromatic_bnb(masks: Sequence[int], lb: int, incumbent: list[int]) -> tuple[int, list[int]]:
+def degree_order(masks: Sequence[int]) -> list[int]:
+    """The vertices by degree, highest first, ties by lowest index."""
+    return sorted(range(len(masks)), key=lambda v: (-masks[v].bit_count(), v))
+
+
+def chromatic_bnb(
+    masks: Sequence[int], order: Sequence[int], lb: int, incumbent: list[int]
+) -> tuple[int, list[int]]:
     """Minimum proper coloring of a graph by branch and bound.
 
     masks are 0-based neighbour bitmasks (bit u of masks[v] set iff u ~ v,
-    as `graphs.Graph.masks` holds them); incumbent a feasible coloring
+    as `graphs.Graph.masks` holds them); order lists every vertex once
+    (callers pass `degree_order(masks)`); incumbent a feasible coloring
     (colors 0..k-1). Each node branches on the uncolored vertex with the
-    most distinct neighbour colors, ties broken by degree, then by lowest
-    index. Per-vertex counts of neighbours of each color keep that
-    saturation up to date as vertices are colored and uncolored.
+    most distinct neighbour colors, ties broken by the first in order, so
+    by degree, then by lowest index.
+
+    The search keeps one mask per color: near[c] is the OR of masks over
+    the vertices colored c, so bit u of near[c] says that c is forbidden
+    for u, and sat[u] counts those colors. Coloring v with c raises sat
+    only on the bits of masks[v] & ~near[c], the neighbours c newly
+    saturates. A node copies sat once and restores it by slice assignment
+    after each branch, with no undo loop.
 
     True twins (equal closed neighbourhoods N[v], the int masks[v] | 1 << v,
     as the copies of one vertex in a blow-up have) are interchangeable and
@@ -69,10 +85,6 @@ def chromatic_bnb(masks: Sequence[int], lb: int, incumbent: list[int]) -> tuple[
     if best == lb:
         return best, best_colors
 
-    # Scanning in degree-descending order and keeping the first maximum
-    # breaks saturation ties by degree, then by index.
-    order = sorted(range(n), key=lambda v: (-masks[v].bit_count(), v))
-    adj = [list(bits(m)) for m in masks]
     prev_twin = [-1] * n
     last: dict[int, int] = {}
     for v in range(n):
@@ -81,9 +93,8 @@ def chromatic_bnb(masks: Sequence[int], lb: int, incumbent: list[int]) -> tuple[
         last[closed] = v
 
     colors = [-1] * n
-    forbid = [0] * n                          # bit c: a neighbour has color c
-    sat = [0] * n                             # set bits of forbid
-    seen = [[0] * best for _ in range(n)]     # seen[u][c]: neighbours of u colored c
+    sat = [0] * n        # sat[u]: colors c with bit u of near[c]
+    near = [0] * best    # near[c]: OR of masks over the vertices colored c
 
     def dfs(depth: int, used: int) -> None:
         nonlocal best, best_colors
@@ -99,25 +110,23 @@ def chromatic_bnb(masks: Sequence[int], lb: int, incumbent: list[int]) -> tuple[
                 v, top = u, sat[u]
         p = prev_twin[v]
         c = colors[p] + 1 if p >= 0 else 0
-        bad = forbid[v]
-        nbrs = adj[v]
+        mask = masks[v]
+        vbit = 1 << v
+        saved_sat = sat.copy()
         while c <= used and c <= best - 2:
-            if not (bad >> c) & 1:
-                bit = 1 << c
+            was = near[c]
+            if not was & vbit:
+                near[c] = was | mask
                 colors[v] = c
-                for u in nbrs:
-                    row = seen[u]
-                    row[c] += 1
-                    if row[c] == 1:
-                        forbid[u] |= bit
-                        sat[u] += 1
+                new = mask & ~was
+                while new:
+                    low = new & -new
+                    u = low.bit_length() - 1
+                    sat[u] += 1
+                    new ^= low
                 dfs(depth + 1, used if c < used else used + 1)
-                for u in nbrs:
-                    row = seen[u]
-                    row[c] -= 1
-                    if row[c] == 0:
-                        forbid[u] ^= bit
-                        sat[u] -= 1
+                near[c] = was
+                sat[:] = saved_sat
                 colors[v] = -1
                 if best == lb:
                     return

@@ -156,12 +156,13 @@ class PackingState:
         return len(self.bins)
 
 
-def _first_fit_step(lanes: Lanes, loads: list[int], w: int) -> int:
-    """Add the packed row w to the lowest-indexed load it fits in, opening
-    a new load if none; returns that load's index."""
-    for b, load in enumerate(loads):
-        if not (load + w) & lanes.guard:
-            loads[b] = load + w
+def _first_fit_step(lanes: Lanes, loads: list[int], w: int, first: int = 0) -> int:
+    """Add the packed row w to the lowest-indexed load from `first` on that
+    it fits in, opening a new load if none; returns that load's index."""
+    for b in range(first, len(loads)):
+        load = loads[b] + w
+        if not load & lanes.guard:
+            loads[b] = load
             return b
     loads.append(lanes.empty + w)
     return len(loads) - 1
@@ -171,6 +172,10 @@ class FirstFitPacker:
     """Online First-Fit: each int row goes to the lowest-indexed bin it fits in.
 
     The online packer protocol: start(d, capacity), then place(row) -> bin.
+    A row equal to the one placed just before reuses its packed int and
+    starts the scan at its bin: loads only grow, so every earlier bin still
+    rejects it. The t copies of a vertex in the copies reduction are such
+    runs.
     """
 
     deterministic = True
@@ -178,9 +183,17 @@ class FirstFitPacker:
     def start(self, d: int, capacity: int) -> None:
         self.lanes = Lanes(d, capacity)
         self.loads: list[int] = []
+        self._last: tuple[Row, int, int] | None = None    # (row, packed, bin)
 
     def place(self, row: Row) -> int:
-        return _first_fit_step(self.lanes, self.loads, self.lanes.pack(row))
+        last = self._last
+        if last is not None and row == last[0]:
+            key, w, first = last
+        else:
+            key, w, first = tuple(row), self.lanes.pack(row), 0
+        b = _first_fit_step(self.lanes, self.loads, w, first)
+        self._last = (key, w, b)
+        return b
 
 
 def first_fit_online(inst: VbpInstance) -> PackingState:

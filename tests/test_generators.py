@@ -84,3 +84,13 @@ def test_all_graphs_counts():
 
 def test_all_connected_graphs_are_connected():
     assert all(is_connected(g) for g in all_connected_graphs(4))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_all_connected_graphs_is_the_connected_filter_in_order(n):
+    assert list(all_connected_graphs(n)) == [g for g in all_graphs(n) if is_connected(g)]
+
+
+def test_all_connected_graphs_rejects_an_empty_vertex_set():
+    with pytest.raises(InputError):
+        next(all_connected_graphs(0))

@@ -116,20 +116,38 @@ def test_validate_coloring_examples():
     assert validate_coloring(K3, {1: "a", 2: "b", 3: "c"})
     assert not validate_coloring(K3, {1: "a", 2: "a", 3: "b"})
     assert validate_coloring(graph_from_edges(5, []), {v: "a" for v in range(1, 6)})
+    assert validate_coloring(C5, {1: "a", 2: "s:3", 3: "a", 4: "s:3", 5: 0})
+    assert not validate_coloring(C5, {1: "s:3", 2: 0, 3: 1, 4: 0, 5: "s:3"})
+    # 3 conflicts with 1, not with 2, the class's latest member
+    assert not validate_coloring(graph_from_edges(3, [(1, 3)]), {1: "a", 2: "a", 3: "a"})
 
 
 def test_validate_coloring_rejects_partial():
     with pytest.raises(InputError):
         validate_coloring(K3, {1: "a", 2: "b"})
+    # a conflict before the gap does not end the check
+    with pytest.raises(InputError, match="partial: vertex 5"):
+        validate_coloring(C5, {1: 0, 2: 0, 3: 1, 4: 2})
 
 
 @pytest.mark.parametrize(
     "coloring, stray",
-    [({1: 0, 2: 1, 3: 0, -7: 0}, "3"), ({1: 0, 2: 1, "x": 0}, "'x'"), ({1: 0, 0: 1, 5: 2}, "0")],
+    [({1: 0, 2: 1, 3: 0, -7: 0}, "3"), ({1: 0, 2: 1, "x": 0}, "'x'"), ({1: 0, 0: 1, 5: 2}, "0"),
+     ({1: 0, 2: 0, 9: 1}, "9")],
 )
 def test_validate_coloring_rejects_keys_that_are_not_vertices(coloring, stray):
     with pytest.raises(InputError, match=f"assigns {stray}, not a vertex"):
         validate_coloring(graph_from_edges(2, [(1, 2)]), coloring)
+
+
+def test_validate_coloring_past_64_vertices():
+    # neighbour masks and color classes are unbounded ints
+    n = 70
+    path = graph_from_edges(n, [(v, v + 1) for v in range(1, n)])
+    alternating = {v: v % 2 for v in path.vertices}
+    assert validate_coloring(path, alternating)
+    assert not validate_coloring(path, {**alternating, 68: 1})   # 67 ~ 68 ~ 69
+    assert not validate_coloring(path, {**alternating, 70: 1})   # only 69 ~ 70
 
 
 def test_greedy_examples():

@@ -1,13 +1,15 @@
 """The exact search kernels on edge inputs and through the oracles."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from oracles import brute_opt_bins
+from oracles import brute_chromatic, brute_opt_bins
 from vbplab import kernels
-from vbplab.generators import gen_crown, gen_cycle
+from vbplab.copies import CopiesInstance, blow_up_explicit
+from vbplab.generators import gen_crown, gen_cycle, gen_gnp
 from vbplab.graphs import chromatic_number_exact, graph_from_edges, validate_coloring
 from vbplab.reductions import reduce_graph
 from vbplab.vbp import VbpInstance, opt_exact
@@ -23,7 +25,7 @@ def test_kernels_handle_unbounded_ints():
     # 70 vertices: the graph size has no fixed-width cap
     n = 70
     masks = [0] * n
-    chi, colors = kernels.chromatic_bnb(masks, 1, [0] * n)
+    chi, colors = kernels.chromatic_bnb(masks, range(n), 1, [0] * n)
     assert chi == 1 and set(colors) == {0}
 
     # a scaled capacity past 2^61: coordinates are unbounded ints
@@ -40,7 +42,7 @@ def test_pure_backend_passes_an_oracle_spot_check():
 
 
 def test_empty_inputs():
-    assert kernels.chromatic_bnb([], 0, []) == (0, [])
+    assert kernels.chromatic_bnb([], [], 0, []) == (0, [])
     assert kernels.packing_bnb(*_lanes([], 1), 0, []) == (0, [])
 
 
@@ -66,7 +68,7 @@ def test_false_twins_may_share_a_color(graph, chi):
     # equal open neighbourhoods, pairwise non-adjacent: a twin rule keyed
     # on N(v) instead of N[v] would force them apart
     masks = graph.masks
-    got, colors = kernels.chromatic_bnb(masks, 1, list(range(graph.n)))
+    got, colors = kernels.chromatic_bnb(masks, kernels.degree_order(masks), 1, list(range(graph.n)))
     assert got == chi and _proper(masks, colors) and len(set(colors)) == chi
     got, coloring = chromatic_number_exact(graph)
     assert got == chi and validate_coloring(graph, coloring)
@@ -89,7 +91,7 @@ def test_packing_with_equal_rows_apart_matches_brute():
 
 def test_kernels_prove_an_optimal_incumbent_above_lb():
     c5 = gen_cycle(5).masks
-    assert kernels.chromatic_bnb(c5, 2, [0, 1, 0, 1, 2]) == (3, [0, 1, 0, 1, 2])
+    assert kernels.chromatic_bnb(c5, kernels.degree_order(c5), 2, [0, 1, 0, 1, 2]) == (3, [0, 1, 0, 1, 2])
     items = [(2, 1), (2, 2), (2, 0)]   # no two share a bin of capacity 3; lb 2
     assert kernels.packing_bnb(*_lanes(items, 3), 2, [0, 1, 2]) == (3, [0, 1, 2])
 
@@ -99,9 +101,45 @@ def test_kernels_stop_at_lb_with_a_valid_witness():
     # meets lb, and what it returns must be a full witness
     for graph, chi in ((gen_cycle(7), 3), (K222, 3), (gen_crown(5), 2)):
         masks = graph.masks
-        got, colors = kernels.chromatic_bnb(masks, chi, list(range(graph.n)))
+        got, colors = kernels.chromatic_bnb(masks, kernels.degree_order(masks), chi, list(range(graph.n)))
         assert got == chi and _proper(masks, colors) and len(set(colors)) == chi
     inst = reduce_graph(gen_cycle(7))
     opt = opt_exact(inst)[0]
     got, assign = kernels.packing_bnb(*_lanes(inst.rows, inst.scale), opt, list(range(inst.n)))
     assert got == opt == 3 and _packs(inst.rows, inst.scale, assign, got)
+
+
+# 40 G(n, 1/2) with n cycling through 10..14, then the twin-heavy members:
+# C5 blown up t = 2, 3, 4 times, and crowns k = 3, 4, 5.
+NODE_CORPUS = (
+    [gen_gnp(10 + i % 5, 0.5, 1000 + i) for i in range(40)]
+    + [blow_up_explicit(CopiesInstance(gen_cycle(5), t)) for t in (2, 3, 4)]
+    + [gen_crown(k) for k in (3, 4, 5)]
+)
+
+
+def test_coloring_search_node_count_is_pinned():
+    # Every call of the search's dfs closure is one node. The total is a
+    # machine-independent measure of the search tree: a lost pruning or
+    # symmetry rule, or a changed tie-break, moves it. A change that means
+    # to move it updates this pin and says why.
+    dfs = next(c for c in kernels.chromatic_bnb.__code__.co_consts if getattr(c, "co_name", "") == "dfs")
+    nodes = 0
+
+    def count(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code is dfs:
+            nodes += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        chis = [chromatic_number_exact(g, limit=g.n)[0] for g in NODE_CORPUS]
+    finally:
+        sys.setprofile(previous)
+    assert nodes == 983
+    # chi of C5 blown up t times is ceil(5t/2); plain backtracking checks the
+    # members it finishes quickly (C5 with t = 3 takes over a minute)
+    assert chis[40:] == [5, 8, 10, 2, 2, 2]
+    twin_heavy = NODE_CORPUS[40:41] + NODE_CORPUS[43:]
+    assert [brute_chromatic(g) for g in twin_heavy] == [5, 2, 2, 2]

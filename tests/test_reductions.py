@@ -273,12 +273,20 @@ def test_adapter_rejects_non_integer_bin(bin_index):
         algo.color_copies(1, 0)
 
 
+def _copy_colors(algo, graph, t):
+    algo.start(graph.n, t)
+    return [algo.color_copies(v, back) for v, back in enumerate(events_from_graph(graph), 1)]
+
+
 @pytest.mark.parametrize(
     "graph, t",
-    [(gen_crown(8), 64), (gen_gnp(30, 0.3, 7), 16)],
-    ids=["crown8-t64", "gnp30-t16"],
+    [(gen_crown(8), 64), (gen_gnp(30, 0.3, 7), 16), (gen_gnp(60, 0.1, 16), 16)],
+    ids=["crown8-t64", "gnp30-t16", "gnp60-t16"],
 )
 def test_first_fit_through_adapter_reproduces_greedy_ccp(graph, t):
+    # a vertex's t copies are a run of equal rows, which First-Fit places
+    # from the previous copy's bin on
+    assert _copy_colors(VbpBackedCcp(FirstFitPacker()), graph, t) == _copy_colors(GreedyCcp(), graph, t)
     seed = 11
     via_packer = run_algorithm_b(graph.n, events_from_graph(graph), VbpBackedCcp(FirstFitPacker()), t, seed)
     via_greedy = run_algorithm_b(graph.n, events_from_graph(graph), GreedyCcp(), t, seed)

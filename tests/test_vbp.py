@@ -1,5 +1,6 @@
 """Vector bin packing: exact-rational feasibility, First-Fit, exact optimum."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -98,6 +99,26 @@ def test_place_rejects_an_entry_outside_capacity(d, capacity, row):
     packer.start(d, capacity)
     with pytest.raises(InputError):
         packer.place(row)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_packer_on_repeated_runs_matches_fraction_first_fit(seed):
+    # runs of equal rows, with some rows coming back after a different one:
+    # only a row equal to the one just placed may skip the earlier bins
+    rng = random.Random(seed)
+    d, capacity = rng.randint(1, 3), rng.randint(2, 6)
+    pool = [tuple(rng.randint(0, capacity) for _ in range(d)) for _ in range(3)]
+    rows = [row for _ in range(rng.randint(1, 8)) for row in [rng.choice(pool)] * rng.randint(1, 5)]
+    packer = FirstFitPacker()
+    packer.start(d, capacity)
+    bins: list[list[int]] = []
+    for i, row in enumerate(rows):
+        b = packer.place(row)
+        if b == len(bins):
+            bins.append([])
+        bins[b].append(i)
+    items = [tuple(Fraction(x, capacity) for x in row) for row in rows]
+    assert bins == naive_first_fit(items, d)
 
 
 # Capacities at every lane width edge: 2^k - 1 fills its field's low bits,

@@ -295,13 +295,16 @@ def cmd_verify(args) -> int:
 
 
 def _bench_first_fit(args, report: dict) -> int:
-    trials = args.trials or 1
     per_trial = []
     if args.family == "gnp" and args.input is None:
         check_reduced_size(args.n or 0, args.t or 1)  # a missing --n fails the first draw
         instances = (
-            _reduce(*_build_family(args, trial_seed(args.seed, i))) for i in range(trials)
+            _reduce(*_build_family(args, trial_seed(args.seed, i)))
+            for i in range(args.trials or 1)
         )
+    elif args.trials is not None:
+        raise InputError("bench first-fit takes --trials only with --family gnp, "
+                         "which draws a new graph per trial")
     else:
         instances = [_load_vbp(args)]
     gaps = []

@@ -3,7 +3,8 @@
 An instance keeps the base graph and t implicitly; the explicit blow-up
 (clique per vertex, complete bipartite per edge) is only materialized when
 an exact oracle needs it, since simulations may use large t where the base
-graph's neighbour masks suffice.
+graph's neighbour masks suffice. The blow-up, like every `Graph`, is its
+neighbour masks, ORed block by block from the base graph's masks.
 
 Copies are (vertex, copy-index) with copy-index 1..t. A valid coloring
 gives distinct colors to copies of the same vertex and to copies of
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from . import kernels
 from .errors import InputError, ResourceLimitError
 from .graphs import (
     DEFAULT_EXACT_COLOR_LIMIT,
@@ -26,7 +28,6 @@ from .graphs import (
     chromatic_number_exact,
     events_from_graph,
     fractional_chromatic_exact,
-    graph_from_edges,
 )
 
 Copy = tuple[int, int]
@@ -52,49 +53,47 @@ class CopiesInstance:
                 yield (v, k)
 
 
-def copy_vertex_id(v: int, k: int, t: int) -> int:
-    """Blow-up vertex id of copy (v, k); copies of a vertex are consecutive."""
-    return (v - 1) * t + k
-
-
 def blow_up_explicit(inst: CopiesInstance) -> Graph:
-    """Materialize the blow-up: K_t per vertex, K_{t,t} per edge."""
+    """Materialize the blow-up: K_t per vertex, K_{t,t} per edge. Copy (v, k)
+    is vertex (v-1)*t + k; its mask is the t-bit block of v's copies, less
+    itself, ORed with the block of each neighbour of v."""
     t = inst.t
-    edges = []
-    for v in inst.base.vertices:
-        for i in range(1, t + 1):
-            for j in range(i + 1, t + 1):
-                edges.append((copy_vertex_id(v, i, t), copy_vertex_id(v, j, t)))
-    for u, v in inst.base.edges:
-        for i in range(1, t + 1):
-            for j in range(1, t + 1):
-                edges.append((copy_vertex_id(u, i, t), copy_vertex_id(v, j, t)))
-    return graph_from_edges(inst.num_copies, edges)
+    ones = (1 << t) - 1
+    masks = []
+    for v, nbrs in enumerate(inst.base.masks):
+        near = ones << v * t
+        for u in kernels.bits(nbrs):
+            near |= ones << u * t
+        masks.extend(near & ~(1 << i) for i in range(v * t, (v + 1) * t))
+    return Graph(inst.num_copies, tuple(masks))
 
 
 def validate_copies_coloring(inst: CopiesInstance, coloring: CopiesColoring) -> bool:
     """True iff copies of a vertex get distinct colors and neighbors never share.
 
     Raises InputError unless the coloring assigns exactly the instance's copies.
+    One pass in vertex order keeps each color's class as a vertex mask, as
+    `graphs.validate_coloring` does; a conflict does not end the pass, so a
+    partial coloring always raises.
     """
     if len(coloring) > inst.num_copies:
         copies = set(inst.copies())
         stray = next(c for c in coloring if c not in copies)
         raise InputError(f"copies coloring assigns {stray!r}, not a copy of the instance")
-    per_vertex: dict[int, set[int]] = {}
-    for v in inst.base.vertices:
+    classes: dict[int, int] = {}
+    conflict = 0
+    for v, mask in enumerate(inst.base.masks, 1):
         colors = set()
         for k in range(1, inst.t + 1):
             if (v, k) not in coloring:
                 raise InputError(f"copies coloring is partial: copy ({v},{k}) unassigned")
             colors.add(coloring[(v, k)])
-        if len(colors) != inst.t:
-            return False
-        per_vertex[v] = colors
-    for u, v in inst.base.edges:
-        if per_vertex[u] & per_vertex[v]:
-            return False
-    return True
+        conflict |= len(colors) < inst.t    # two copies of v share a color
+        for c in colors:
+            members = classes.get(c, 0)
+            conflict |= members & mask
+            classes[c] = members | 1 << (v - 1)
+    return not conflict
 
 
 def color_class_vertices(

@@ -5,6 +5,8 @@ the online sequence presents them in id order. The crown generator
 interleaves the two sides (a1 b1 a2 b2 ...) because that ordering is what
 forces greedy to burn k colors on a 2-chromatic graph. Every instance is a
 fixed graph; no generator adapts to an algorithm's answers.
+The families pass edge lists to `graph_from_edges`; the enumeration builds
+each `Graph`'s neighbour masks directly, and no edge list.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Iterator
 
 from . import kernels
 from .errors import InputError, ResourceLimitError
-from .graphs import Graph, graph_from_edges, masks_connected
+from .graphs import Graph, graph_from_edges, is_connected
 from .rng import Seed, make_rng
 
 # The largest graph a reduction takes with one copy per vertex (n*n <= 2^24);
@@ -36,7 +38,7 @@ def gen_gnp(n: int, prob: float, seed: Seed) -> Graph:
     _check_dense_size("G(n, p)", n)
     pairs = list(combinations(range(1, n + 1), 2))
     if not pairs:
-        return Graph(n=n, edges=frozenset())
+        return gen_empty(n)
     draws = make_rng(seed).random(len(pairs))
     edges = [pair for pair, x in zip(pairs, draws) if x < prob]
     return graph_from_edges(n, edges)
@@ -65,7 +67,7 @@ def gen_complete(n: int) -> Graph:
 def gen_empty(n: int) -> Graph:
     if n < 1:
         raise InputError("need n >= 1")
-    return Graph(n=n, edges=frozenset())
+    return Graph(n, (0,) * n)
 
 
 def crown_vertex_ids(k: int) -> tuple[list[int], list[int]]:
@@ -94,28 +96,22 @@ def gen_crown(k: int) -> Graph:
 
 
 def all_graphs(n: int) -> Iterator[Graph]:
-    """All 2^C(n,2) labeled graphs on vertices 1..n, edge sets in binary order."""
+    """All 2^C(n,2) labeled graphs on vertices 1..n, edge sets in binary order:
+    bit i of the count selects the i-th pair of combinations(1..n, 2)."""
     if n < 1:
         raise InputError("need n >= 1")
-    pairs = list(combinations(range(1, n + 1), 2))
-    for bits in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-        yield graph_from_edges(n, edges)
+    pairs = list(combinations(range(n), 2))
+    for chosen in range(1 << len(pairs)):
+        masks = [0] * n
+        for i in kernels.bits(chosen):
+            u, v = pairs[i]
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        yield Graph(n, tuple(masks))
 
 
 def all_connected_graphs(n: int) -> Iterator[Graph]:
-    """The connected graphs of all_graphs(n), in its order. Each edge set is
-    tested as neighbour masks, and only a connected one becomes a Graph."""
-    if n < 1:
-        raise InputError("need n >= 1")
-    pairs = list(combinations(range(1, n + 1), 2))
-    for bits in range(1 << len(pairs)):
-        if bits.bit_count() < n - 1:
-            continue    # too few edges to span n vertices
-        edges = [pairs[i] for i in kernels.bits(bits)]
-        masks = [0] * n
-        for u, v in edges:
-            masks[u - 1] |= 1 << (v - 1)
-            masks[v - 1] |= 1 << (u - 1)
-        if masks_connected(masks):
-            yield Graph(n=n, edges=frozenset(edges))
+    """The connected graphs of all_graphs(n), in its order."""
+    for graph in all_graphs(n):
+        if is_connected(graph):
+            yield graph

@@ -4,13 +4,15 @@ Vertices are 1..n and the vertex id *is* the arrival position. Color ids are
 opaque: plain non-negative integers for regular colors, with the string
 namespace "s:<step>" reserved for the pool simulation's special colors.
 
-Every vertex-set test (independence, connectivity, cliques, coloring
-validation, First-Fit coloring, maximal independent sets, the coloring
-kernel) reads one form, `Graph.masks`: bit u-1 of masks[v-1] is set iff
-u ~ v. Online algorithms see a graph as `events_from_graph` presents it, in
-the same convention: entry v-1 is vertex v's back-edge mask, bit u-1 for
-each earlier neighbour u. The greedy baseline, `greedy_online_coloring`,
-colors in that order.
+A `Graph` is its neighbour masks, `Graph(n, masks)`: bit u-1 of masks[v-1]
+is set iff u ~ v. Every vertex-set test (independence, connectivity,
+cliques, coloring validation, First-Fit coloring, maximal independent sets,
+the coloring kernel) reads them. `graph_from_edges` builds a graph from an
+edge list, and `Graph.edges`, derived from the masks, is the view the text
+format writes. Online algorithms see a graph as `events_from_graph`
+presents it, in the same convention: entry v-1 is vertex v's back-edge
+mask, bit u-1 for each earlier neighbour u. The greedy baseline,
+`greedy_online_coloring`, colors in that order.
 
 The exact oracles (chromatic number, fractional chromatic number) are meant
 for small instances and refuse loudly above their size limits rather than
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator
 
 from . import kernels, ratlp
 from .errors import InputError, ResourceLimitError
@@ -36,33 +38,27 @@ DEFAULT_EXACT_LP_LIMIT = 12
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 1..n, arrival order = id order."""
+    """Simple undirected graph on vertices 1..n, arrival order = id order,
+    stored as its neighbour masks: bit u-1 of masks[v-1] is set iff u ~ v."""
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    masks: tuple[int, ...]
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The pairs (u, v) with u < v: the text format's view."""
+        return frozenset((u + 1, v + 1) for v, mask in enumerate(self.masks)
+                         for u in kernels.bits(mask & ((1 << v) - 1)))
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
         """Neighbor sets indexed by vertex id (index 0 unused). Nothing in
         vbplab reads them; they stay while perfbench's `_ready` warms them."""
-        nbrs: list[set[int]] = [set() for _ in range(self.n + 1)]
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Neighbour bitmasks, 0-based: bit u-1 of masks[v-1] is set iff u ~ v."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u - 1] |= 1 << (v - 1)
-            masks[v - 1] |= 1 << (u - 1)
-        return tuple(masks)
+        return (frozenset(),) + tuple(frozenset(u + 1 for u in kernels.bits(m)) for m in self.masks)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(mask.bit_count() for mask in self.masks) // 2
 
     @property
     def vertices(self) -> range:
@@ -70,17 +66,19 @@ class Graph:
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Normalized graph: endpoints checked, pairs deduplicated, self-loops rejected."""
+    """The graph with these edges: endpoints checked, self-loops rejected,
+    repeated pairs merged."""
     if n < 0:
         raise InputError("vertex count must be nonnegative")
-    normalized = set()
+    masks = [0] * n
     for u, v in edges:
         if not (1 <= u <= n and 1 <= v <= n):
             raise InputError(f"edge ({u},{v}) has an endpoint outside 1..{n}")
         if u == v:
             raise InputError(f"self-loop ({u},{v}) not allowed")
-        normalized.add((u, v) if u < v else (v, u))
-    return Graph(n=n, edges=frozenset(normalized))
+        masks[u - 1] |= 1 << (v - 1)
+        masks[v - 1] |= 1 << (u - 1)
+    return Graph(n, tuple(masks))
 
 
 def is_independent_set(graph: Graph, vertices: Iterable[int]) -> bool:
@@ -120,11 +118,7 @@ def validate_coloring(graph: Graph, coloring: Coloring) -> bool:
 
 
 def is_connected(graph: Graph) -> bool:
-    return masks_connected(graph.masks)
-
-
-def masks_connected(masks: Sequence[int]) -> bool:
-    """True iff the graph with these 0-based neighbour masks is connected."""
+    masks = graph.masks
     if len(masks) <= 1:
         return True
     seen = 1

@@ -7,7 +7,7 @@ n * (1/n) land on the capacity exactly, never on 0.999... Every bin load is
 one int in the `Lanes` form, so each fit test in First-Fit, packing
 validation and the exact optimum's kernel is one add and one AND. A packing
 is its bins' item lists; loads live only inside those fit tests. Fractions
-appear only at I/O: the `items` view, `make_instance` and the text format.
+appear only at I/O: `make_instance` and the text format.
 """
 
 from __future__ import annotations
@@ -102,11 +102,6 @@ class VbpInstance:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    @cached_property
-    def items(self) -> tuple[Vector, ...]:
-        """The rows as Fractions of a unit bin: the I/O view."""
-        return tuple(tuple(Fraction(x, self.scale) for x in row) for row in self.rows)
 
     @cached_property
     def lanes(self) -> Lanes:

@@ -1,43 +1,95 @@
 """Independent brute-force oracles for freezing expected test values.
 
 Deliberately naive and structured differently from the library's search
-kernels (natural vertex/item order, no symmetry breaking, no bounds), so
-agreement between the two is meaningful evidence rather than the same
-code tested against itself.
+kernels (natural vertex/item order, no bounds; the coloring backtrack breaks
+color-label symmetry only, by opening at most one new color), so agreement
+between the two is meaningful evidence rather than the same code tested
+against itself. Graph oracles read a graph's `edges` view, never its
+neighbour masks.
 """
 
 from fractions import Fraction
 from itertools import combinations, compress
 
+from vbplab.copies import CopiesInstance
 from vbplab.graphs import Graph, is_independent_set
 from vbplab.pool import special_color
 from vbplab.ratlp import SimplexError
-from vbplab.vbp import fits_together
+from vbplab.vbp import VbpInstance, fits_together
 from vbplab.verify import CheckResult
 
 
+def neighbours(graph: Graph) -> list[set[int]]:
+    """Neighbour sets from the edge list, indexed by vertex id (index 0 unused)."""
+    nbrs: list[set[int]] = [set() for _ in range(graph.n + 1)]
+    for u, v in graph.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
+def bfs_connected(graph: Graph) -> bool:
+    """True iff a breadth-first search from vertex 1 over the edges reaches every vertex."""
+    if graph.n <= 1:
+        return True
+    nbrs = neighbours(graph)
+    seen = {1}
+    frontier = [1]
+    while frontier:
+        frontier = [u for v in frontier for u in nbrs[v] if u not in seen]
+        seen.update(frontier)
+    return len(seen) == graph.n
+
+
+def edge_list_blow_up(inst: CopiesInstance) -> frozenset[tuple[int, int]]:
+    """The blow-up's edges, pair by pair: copy (v, k) is vertex (v-1)*t + k,
+    with a K_t on each vertex's copies and a K_{t,t} across each edge."""
+    t = inst.t
+
+    def copy_id(v: int, k: int) -> int:
+        return (v - 1) * t + k
+
+    edges = set()
+    for v in inst.base.vertices:
+        for i, j in combinations(range(1, t + 1), 2):
+            edges.add((copy_id(v, i), copy_id(v, j)))
+    for u, v in inst.base.edges:
+        for i in range(1, t + 1):
+            for j in range(1, t + 1):
+                edges.add((copy_id(u, i), copy_id(v, j)))
+    return frozenset(edges)
+
+
+def fraction_items(inst: VbpInstance) -> tuple[tuple[Fraction, ...], ...]:
+    """The instance's rows as Fractions of a unit bin, entry by entry."""
+    return tuple(tuple(Fraction(x, inst.scale) for x in row) for row in inst.rows)
+
+
 def brute_chromatic(graph: Graph) -> int:
-    """Smallest k admitting a proper coloring, by plain backtracking."""
+    """Smallest k admitting a proper coloring, by backtracking in vertex
+    order. A vertex may take colors 0..used, where used colors are 0..used-1,
+    so it opens at most one new color: only color-label symmetry is broken."""
     n = graph.n
     if n == 0:
         return 0
-    adj = [sorted(u - 1 for u in graph.adjacency[v]) for v in graph.vertices]
+    nbrs = neighbours(graph)
+    adj = [sorted(u - 1 for u in nbrs[v]) for v in graph.vertices]
 
     def colorable(k: int) -> bool:
         colors = [-1] * n
 
-        def go(v: int) -> bool:
+        def go(v: int, used: int) -> bool:
             if v == n:
                 return True
-            for c in range(k):
+            for c in range(min(used + 1, k)):
                 if all(colors[u] != c for u in adj[v]):
                     colors[v] = c
-                    if go(v + 1):
+                    if go(v + 1, max(used, c + 1)):
                         return True
                     colors[v] = -1
             return False
 
-        return go(0)
+        return go(0, 0)
 
     k = 1
     while not colorable(k):
@@ -140,9 +192,10 @@ def naive_subset_independence(graphs, reduction) -> CheckResult:
 def naive_greedy_coloring(graph: Graph) -> dict[int, int]:
     """First-Fit in arrival order on neighbour sets: each vertex takes the
     smallest color no earlier neighbour has."""
+    nbrs = neighbours(graph)
     out: dict[int, int] = {}
     for v in graph.vertices:
-        used = {out[u] for u in graph.adjacency[v] if u < v}
+        used = {out[u] for u in nbrs[v] if u < v}
         c = 0
         while c in used:
             c += 1

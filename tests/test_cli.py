@@ -408,6 +408,23 @@ def test_trials_on_a_deterministic_run_exits_2_before_any_work(no_work, capsys, 
 @pytest.mark.parametrize(
     "argv",
     [
+        ("--input", "c5.g"),
+        ("--input", "c5.vbp"),
+        ("--family", "crown", "--k", "3"),
+        ("--family", "cycle", "--n", "5", "--t", "2"),
+    ],
+    ids=["graph-file", "vbp-file", "crown", "cycle-t"],
+)
+def test_bench_first_fit_trials_without_gnp_exits_2_before_any_work(no_work, capsys, argv):
+    # only gnp draws a new instance per trial; any other instance would
+    # be packed once whatever --trials says
+    code, out, err = run_cli(capsys, "bench", "first-fit", *argv, "--trials", "4")
+    assert code == 2 and out == "" and "only with --family gnp" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("gen", "gnp", "--n", "5", "--seed", "-1"),
         ("run", "algorithm-b", "--family", "cycle", "--n", "5", "--t", "2", "--seed", "-3"),
         ("verify", "--seed", "-1"),

@@ -1,23 +1,31 @@
 """Blow-up ("copies") colorings: construction, validation, extraction, sandwich."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import brute_chromatic
+from oracles import brute_chromatic, edge_list_blow_up
 from vbplab.copies import (
     CopiesInstance,
     blow_up_explicit,
     check_sandwich,
     chromatic_number_copies_exact,
     color_class_vertices,
-    copy_vertex_id,
     fractional_coloring_from_copies,
     greedy_online_ccp,
     validate_copies_coloring,
 )
 from vbplab.errors import InputError, ResourceLimitError
-from vbplab.generators import all_graphs, gen_complete, gen_cycle, gen_empty, gen_gnp, gen_path
+from vbplab.generators import (
+    all_graphs,
+    gen_complete,
+    gen_crown,
+    gen_cycle,
+    gen_empty,
+    gen_gnp,
+    gen_path,
+)
 from vbplab.graphs import (
     chromatic_number_exact,
     format_graph_text,
@@ -39,13 +47,21 @@ def test_t_must_be_positive():
         CopiesInstance(K2, 0)
 
 
-def test_copy_vertex_id_layout():
-    assert copy_vertex_id(1, 1, 3) == 1
-    assert copy_vertex_id(1, 3, 3) == 3
-    assert copy_vertex_id(2, 1, 3) == 4
-
-
 # ------------------------------------------------------------------- blow-up
+
+
+BLOW_UP_CASES = (
+    [CopiesInstance(g, t) for n in (1, 2, 3) for g in all_graphs(n) for t in (1, 2, 3)]
+    + [CopiesInstance(C5, t) for t in (2, 3, 4)]
+    + [CopiesInstance(gen_crown(3), 2)]
+)
+
+
+def test_blowup_equals_the_edge_list_reference():
+    for inst in BLOW_UP_CASES:
+        g = blow_up_explicit(inst)
+        assert g.n == inst.num_copies
+        assert g.edges == edge_list_blow_up(inst), (inst.base.edges, inst.t)
 
 
 def test_blowup_single_vertex_is_clique():
@@ -92,9 +108,27 @@ def test_validate_copies_same_vertex_distinct():
     assert not validate_copies_coloring(inst, {(1, 1): 9, (1, 2): 9})
 
 
+def test_validate_copies_matches_its_definition():
+    rng = random.Random(5)
+    for n in (1, 2, 3):
+        for g in all_graphs(n):
+            inst = CopiesInstance(g, 2)
+            for _ in range(20):
+                coloring = {c: rng.randrange(4) for c in inst.copies()}
+                colors = {v: {coloring[(v, k)] for k in (1, 2)} for v in g.vertices}
+                want = all(len(cs) == 2 for cs in colors.values()) and not any(
+                    colors[u] & colors[v] for u, v in g.edges
+                )
+                assert validate_copies_coloring(inst, coloring) == want
+
+
 def test_validate_copies_rejects_partial():
     with pytest.raises(InputError):
         validate_copies_coloring(CopiesInstance(K2, 2), {(1, 1): 1})
+    # vertex 1's copies repeat a color and vertex 3 has none: still partial
+    repeat_then_gap = {(1, 1): 0, (1, 2): 0, (2, 1): 1, (2, 2): 2}
+    with pytest.raises(InputError, match=r"\(3,1\) unassigned"):
+        validate_copies_coloring(CopiesInstance(gen_path(3), 2), repeat_then_gap)
 
 
 def test_validate_copies_rejects_copies_outside_the_instance():

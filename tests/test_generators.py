@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import bfs_connected
 from vbplab import generators
 from vbplab.errors import InputError, ResourceLimitError
 from vbplab.generators import (
@@ -83,12 +84,29 @@ def test_all_graphs_counts():
 
 
 def test_all_connected_graphs_are_connected():
-    assert all(is_connected(g) for g in all_connected_graphs(4))
+    assert all(bfs_connected(g) for g in all_connected_graphs(4))
+
+
+def test_is_connected_matches_a_breadth_first_search():
+    for n in range(1, 6):
+        assert all(is_connected(g) == bfs_connected(g) for g in all_graphs(n))
+
+
+# connected labeled graphs on n vertices, OEIS A001187
+CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728}
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_all_connected_graphs_is_the_connected_filter_in_order(n):
-    assert list(all_connected_graphs(n)) == [g for g in all_graphs(n) if is_connected(g)]
+    connected = list(all_connected_graphs(n))
+    assert len(connected) == CONNECTED_COUNTS[n]
+    assert connected == [g for g in all_graphs(n) if bfs_connected(g)]
+
+
+def test_all_graphs_follow_the_binary_order_of_pairs():
+    pairs = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    for bits, g in enumerate(all_graphs(4)):
+        assert g.edges == frozenset(p for i, p in enumerate(pairs) if bits >> i & 1)
 
 
 def test_all_connected_graphs_rejects_an_empty_vertex_set():

@@ -47,6 +47,16 @@ def test_graph_from_edges_normalizes():
     g = graph_from_edges(3, [(2, 1), (1, 2), (2, 3)])
     assert g.n == 3 and g.m == 2
     assert g.edges == frozenset({(1, 2), (2, 3)})
+    assert g.masks == (0b010, 0b101, 0b010)
+    repeated = graph_from_edges(4, [(4, 1), (1, 4), (3, 2), (4, 1), (2, 3), (3, 4)])
+    assert repeated.edges == frozenset({(1, 4), (2, 3), (3, 4)}) and repeated.m == 3
+
+
+def test_graph_from_edges_rebuilds_a_graph_from_its_edges():
+    for i in range(20):
+        g = gen_gnp(3 + i % 9, 0.4, 4000 + i)
+        assert graph_from_edges(g.n, g.edges) == g
+        assert graph_from_edges(g.n, [(v, u) for u, v in g.edges]) == g
 
 
 def test_graph_rejects_self_loop():
@@ -76,8 +86,11 @@ def test_masks_agree_with_adjacency(n, data):
     chosen = data.draw(st.lists(st.sampled_from(pairs), max_size=200)) if pairs else []
     g = graph_from_edges(n, chosen)
     assert len(g.masks) == n
+    assert g.edges == frozenset(chosen) and g.m == len(set(chosen))
     for v in g.vertices:
-        assert g.masks[v - 1] == sum(1 << (u - 1) for u in g.adjacency[v])
+        nbrs = {u for e in chosen if v in e for u in e if u != v}
+        assert g.adjacency[v] == nbrs
+        assert g.masks[v - 1] == sum(1 << (u - 1) for u in nbrs)
 
 
 def test_events_from_graph_back_edges_only():

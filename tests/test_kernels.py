@@ -138,8 +138,20 @@ def test_coloring_search_node_count_is_pinned():
     finally:
         sys.setprofile(previous)
     assert nodes == 983
-    # chi of C5 blown up t times is ceil(5t/2); plain backtracking checks the
-    # members it finishes quickly (C5 with t = 3 takes over a minute)
+    # chi of C5 blown up t times is ceil(5t/2)
     assert chis[40:] == [5, 8, 10, 2, 2, 2]
-    twin_heavy = NODE_CORPUS[40:41] + NODE_CORPUS[43:]
-    assert [brute_chromatic(g) for g in twin_heavy] == [5, 2, 2, 2]
+
+
+# Blow-ups are made of twin classes and crowns of false twins. Backtracking
+# with no twin rule checks the kernel's chi on the ones it finishes in a few
+# milliseconds; C7 with t = 3 and C5 with t = 4 take a large part of a second.
+TWIN_HEAVY = {
+    **{f"c5-t{t}": blow_up_explicit(CopiesInstance(gen_cycle(5), t)) for t in (2, 3)},
+    "c7-t2": blow_up_explicit(CopiesInstance(gen_cycle(7), 2)),
+    **{f"crown{k}": gen_crown(k) for k in (3, 4, 5)},
+}
+
+
+@pytest.mark.parametrize("graph", TWIN_HEAVY.values(), ids=TWIN_HEAVY)
+def test_twin_rule_agrees_with_plain_backtracking(graph):
+    assert chromatic_number_exact(graph, limit=graph.n)[0] == brute_chromatic(graph)

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from oracles import fraction_items
 from vbplab.copies import CopiesInstance, GreedyCcp, validate_copies_coloring
 from vbplab import reductions
 from vbplab.errors import InputError, ProtocolError, ResourceLimitError
@@ -51,7 +52,7 @@ F = Fraction
 def test_k3_vectors_match_rule():
     inst = reduce_graph(gen_complete(3))
     assert inst.d == 3
-    assert inst.items == (
+    assert fraction_items(inst) == (
         (F(1), F(0), F(0)),
         (F(1, 3), F(1), F(0)),
         (F(1, 3), F(1, 3), F(1)),
@@ -61,7 +62,7 @@ def test_k3_vectors_match_rule():
 
 def test_empty_graph_gives_basis():
     inst = reduce_graph(gen_empty(3))
-    assert inst.items == (
+    assert fraction_items(inst) == (
         (F(1), F(0), F(0)),
         (F(0), F(1), F(0)),
         (F(0), F(0), F(1)),
@@ -71,7 +72,7 @@ def test_empty_graph_gives_basis():
 
 def test_p3_vectors():
     inst = reduce_graph(gen_path(3))
-    assert inst.items == (
+    assert fraction_items(inst) == (
         (F(1), F(0), F(0)),
         (F(1, 3), F(1), F(0)),
         (F(0), F(1, 3), F(1)),
@@ -82,7 +83,7 @@ def test_p3_vectors():
 def test_streaming_upper_coords_zero():
     for i in range(10):
         g = gen_gnp(6, 0.5, 21000 + i)
-        for idx, item in enumerate(reduce_graph(g).items, 1):
+        for idx, item in enumerate(fraction_items(reduce_graph(g)), 1):
             assert item[idx - 1] == 1
             assert all(item[j] == 0 for j in range(idx, g.n))
 
@@ -101,7 +102,7 @@ def test_rejects_stream_short_of_n():
 
 def test_ccp_reduction_emits_t_copies():
     inst = reduce_copies(CopiesInstance(gen_complete(2), 2))
-    assert inst.items == (
+    assert fraction_items(inst) == (
         (F(1), F(0)),
         (F(1), F(0)),
         (F(1, 2), F(1)),

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_opt_bins, fraction_fits, naive_first_fit
+from oracles import brute_opt_bins, fraction_fits, fraction_items, naive_first_fit
+from vbplab import vbp
 from vbplab.errors import InputError, ResourceLimitError
 from vbplab.generators import gen_cycle
 from vbplab.reductions import reduce_graph
@@ -254,10 +255,10 @@ def test_opt_witness_validates():
 def test_opt_matches_brute():
     for i in range(15):
         inst = random_instance(7, 2, 17000 + i)
-        assert opt_exact(inst)[0] == brute_opt_bins(inst.items, inst.d)
+        assert opt_exact(inst)[0] == brute_opt_bins(fraction_items(inst), inst.d)
     for i in range(5):
         inst = random_instance(6, 3, 18000 + i, denom=4)
-        assert opt_exact(inst)[0] == brute_opt_bins(inst.items, inst.d)
+        assert opt_exact(inst)[0] == brute_opt_bins(fraction_items(inst), inst.d)
 
 
 def test_opt_one_bin_iff_all_fit_together():
@@ -350,7 +351,7 @@ def test_scale_and_scaled_examples():
     inst = make_instance(2, [(F(1, 6), 1), (F(3, 7), F(10, 11))])
     assert inst.scale == 462
     assert inst.rows == ((77, 462), (198, 420))
-    assert inst.items == ((F(1, 6), F(1)), (F(3, 7), F(10, 11)))
+    assert fraction_items(inst) == ((F(1, 6), F(1)), (F(3, 7), F(10, 11)))
     assert VbpInstance.from_rows(2, 924, [(154, 924), (396, 840)]) == inst
     assert make_instance(3, []).scale == 1
     assert VbpInstance.from_rows(3, 7, []) == VbpInstance(d=3, scale=1, rows=())
@@ -361,16 +362,17 @@ def test_scale_and_scaled_examples():
 @given(inst=exact_instances())
 def test_first_fit_matches_fraction_oracle(inst):
     packing = first_fit_online(inst)
-    assert [b.items for b in packing.bins] == naive_first_fit(inst.items, inst.d)
+    assert [b.items for b in packing.bins] == naive_first_fit(fraction_items(inst), inst.d)
 
 
 @settings(max_examples=60, deadline=None)
 @given(inst=exact_instances())
 def test_fits_together_on_scaled_view_matches_fractions(inst):
+    items = fraction_items(inst)
     for r in range(inst.n + 1):
         for subset in combinations(range(inst.n), r):
             on_ints = fits_together(inst, subset)
-            on_fractions = fraction_fits([inst.items[i] for i in subset], inst.d)
+            on_fractions = fraction_fits([items[i] for i in subset], inst.d)
             assert on_ints == on_fractions
 
 
@@ -380,8 +382,9 @@ def test_opt_witness_loads_are_fraction_sums(inst):
     opt, witness = opt_exact(inst)
     assert witness.num_bins == opt and validate_packing(inst, witness)
     assert sorted(i for b in witness.bins for i in b.items) == list(range(inst.n))
+    items = fraction_items(inst)
     for b in witness.bins:
-        assert fraction_fits([inst.items[i] for i in b.items], inst.d)
+        assert fraction_fits([items[i] for i in b.items], inst.d)
     assert opt >= lower_bound(inst)
 
 
@@ -390,7 +393,6 @@ def test_opt_witness_loads_are_fraction_sums(inst):
 def test_roundtrip_with_mixed_denominators(inst):
     parsed = parse_vbp_text(format_vbp_text(inst))
     assert parsed == inst
-    assert all(type(c) is F for item in parsed.items for c in item)
 
 
 def test_lower_bound_examples():
@@ -404,13 +406,14 @@ def test_lower_bound_examples():
 
 def test_hot_paths_use_only_the_integer_view(monkeypatch):
     inst = reduce_graph(gen_cycle(5))
+    assert parse_vbp_text(format_vbp_text(inst)) == inst
 
-    def refuse(self):
-        raise AssertionError("Fraction view on a hot path")
+    def refuse(*args):
+        raise AssertionError("Fraction on a hot path")
 
-    monkeypatch.setattr(VbpInstance, "items", property(refuse))
+    monkeypatch.setattr(vbp, "Fraction", refuse)
     with pytest.raises(AssertionError):
-        inst.items
+        format_vbp_text(inst)   # the text format is I/O and needs Fractions
     packing = first_fit_online(inst)
     assert packing.num_bins == 3
     assert validate_packing(inst, packing)
@@ -419,7 +422,6 @@ def test_hot_paths_use_only_the_integer_view(monkeypatch):
     assert opt == 3 and validate_packing(inst, witness)
     result = check_subset_independence([gen_cycle(5)])
     assert result.ok and result.instances == 1
-    assert parse_vbp_text(format_vbp_text(inst)) == inst
 
 
 # ------------------------------------------------------------------ parser
@@ -428,8 +430,7 @@ def test_hot_paths_use_only_the_integer_view(monkeypatch):
 @pytest.mark.parametrize("tok", ["0.5", "2/4", "01", "0", "1", "1/3"])
 def test_parser_reads_tokens_as_fraction_does(tok):
     inst = parse_vbp_text(f"vbp 2 2\n{tok} 0\n1 {tok}\n")
-    assert inst.items == ((F(tok), F(0)), (F(1), F(tok)))
-    assert all(type(c) is F for item in inst.items for c in item)
+    assert fraction_items(inst) == ((F(tok), F(0)), (F(1), F(tok)))
 
 
 def _syntax_message(tok: str) -> str:

@@ -11,8 +11,10 @@ color of A, in first-use order (step order, ascending color id within a
 step), all taken by a single rng.random call. A never observes the pool, so
 B first drives A across the full arrival sequence recording a per-step
 trace, then runs the seeded pool phase over it. `_trial` is the one trial
-loop: a single run is one trial, and Monte-Carlo verification runs many over
-a cached trace when A declares itself deterministic. Every vertex set is a
+loop, and it draws from the generator it is given: a single run is one trial,
+on make_rng(seed), and Monte-Carlo verification runs many, over a cached
+trace when A declares itself deterministic, on one generator that
+`rng.trial_rngs` re-keys to each trial's stream. Every vertex set is a
 mask in the convention of `Graph.masks`, bit v-1 for vertex v: an arrival's
 back edges, and a color class of A (in the trace) or of B (in a trial), so
 checking a color against earlier neighbors is one AND. Every set of A's
@@ -31,15 +33,16 @@ import numpy as np
 
 from .errors import InputError, ProtocolError
 from .graphs import ColorId, Coloring, Graph, checked_events, events_from_graph
-from .rng import GENERATOR_NAME, SEED_DERIVATION, Seed, make_rng, trial_seed
+from .rng import GENERATOR_NAME, SEED_DERIVATION, Seed, make_rng, trial_rngs
 
 _REL_TOL = 1e-12
 # Modeled trial time, in microseconds, that a worker process must get before
 # it is started. On a shared 2-vCPU x86 host two workers broke even with one
-# process at 100-220 ms of serial trials (starting them costs about 40 ms,
-# and they ran 4,000 crown k=8, t=64 trials only 1.3x faster), so the
-# crown k=8, t=64 run stays in process up to about 3,000 trials, and
-# G(300, 0.1) with t=64 gets two workers from about 480.
+# process at 100-220 ms of serial trials: starting them costs about 40 ms,
+# 5,000 crown k=8, t=64 trials (0.09 s) ran slower in two workers and 10,000
+# (0.2-0.3 s) only 1.5x faster. So the crown k=8, t=64 run stays in process
+# up to about 10,000 trials, and G(300, 0.1) with t=64 gets two workers from
+# about 860.
 MIN_US_PER_WORKER = 75_000
 
 
@@ -149,11 +152,12 @@ def _pool_phase(trace, p, rng) -> tuple[int, list[ColorId]]:
     return pool.bit_count(), picks
 
 
-def _trial(trace, p, seed) -> tuple[list[ColorId], tuple[int, int, int, int, bool]]:
-    """B's picks for one seed, and colors_B, colors_A, fails, pool size and
-    feasibility. One pass over the picks keeps each color class as a vertex
-    bitmask, so a clash with an earlier neighbor is one AND per step."""
-    pool_size, picks = _pool_phase(trace, p, make_rng(seed))
+def _trial(trace, p, rng) -> tuple[list[ColorId], tuple[int, int, int, int, bool]]:
+    """B's picks for one trial drawn from rng, and colors_B, colors_A, fails,
+    pool size and feasibility. One pass over the picks keeps each color class
+    as a vertex bitmask, so a clash with an earlier neighbor is one AND per
+    step."""
+    pool_size, picks = _pool_phase(trace, p, rng)
     classes: dict[ColorId, int] = {}
     fails = clash = 0
     for v, (back_mask, color) in enumerate(zip(trace.back_masks, picks)):
@@ -184,7 +188,7 @@ def run_algorithm_b(
         raise InputError("need n >= 1 and t >= 1")
     p = sampling_probability(n, t)
     trace = _record_trace(n, events, algo, t)
-    picks, (colors_b, colors_a, fails, pool_size, feasible) = _trial(trace, p, seed)
+    picks, (colors_b, colors_a, fails, pool_size, feasible) = _trial(trace, p, make_rng(seed))
     coloring: Coloring = dict(enumerate(picks, 1))
     return coloring, SimulationStats(colors_a, colors_b, fails, pool_size, p, feasible)
 
@@ -245,8 +249,10 @@ class MonteCarloReport:
 
 
 def _trial_range(trace, p, master_seed, start, stop) -> list[tuple[int, int, int, int, bool]]:
-    """Trial i reproduces run_algorithm_b(seed=trial_seed(master_seed, i))."""
-    return [_trial(trace, p, trial_seed(master_seed, i))[1] for i in range(start, stop)]
+    """Trials start..stop-1 over one trace, in order. Trial i reproduces
+    run_algorithm_b(seed=trial_seed(master_seed, i)): it draws from one
+    generator re-keyed per trial (rng.trial_rngs), not a fresh one."""
+    return [_trial(trace, p, rng)[1] for rng in trial_rngs(master_seed, start, stop)]
 
 
 def _workers(jobs: int, trials: int, n: int, t: int) -> int:
@@ -254,11 +260,12 @@ def _workers(jobs: int, trials: int, n: int, t: int) -> int:
     at most jobs, trials and CPUs, and one per MIN_US_PER_WORKER of modeled
     trial time; 1 or less runs them in this process.
 
-    A trial is modeled at 35 us to seed its generator, 0.6 us a step and
-    0.005 us a copy color, which is within 25% of the measured time on seven
-    graphs from a 5-cycle with t=2 (41 us) to G(300, 0.1) with t=64 (285 us).
+    A trial is modeled at 6 us to re-key its generator and collect its row,
+    0.4 us a step and 0.0025 us a copy color, which is within 20% of the
+    measured time on seven graphs from a 5-cycle with t=2 (7 us) to
+    G(300, 0.1) with t=64 (146 us).
     """
-    work_us = trials * (35 + n * (0.6 + t / 200))
+    work_us = trials * (6 + n * (0.4 + t / 400))
     return min(jobs, trials, os.cpu_count() or 1, int(work_us // MIN_US_PER_WORKER))
 
 
@@ -278,16 +285,19 @@ def monte_carlo_verify(
     coloring is not proper. Trials are independent streams,
     so jobs > 1 only parallelizes; aggregation is in trial order either way.
     Runs too small to pay for a worker stay in this process (see _workers).
+    The master seed must be a nonnegative int (else InputError, before A runs).
     """
     if trials < 1:
         raise InputError("need at least one trial")
+    if isinstance(master_seed, bool) or not isinstance(master_seed, int) or master_seed < 0:
+        raise InputError(f"master seed must be a nonnegative int, got {master_seed!r}")
     n = graph.n
     p = sampling_probability(n, t)
     events = events_from_graph(graph)
     if not getattr(algo, "deterministic", False):
         rows = [
-            _trial(_record_trace(n, events, algo, t), p, trial_seed(master_seed, i))[1]
-            for i in range(trials)
+            _trial(_record_trace(n, events, algo, t), p, rng)[1]
+            for rng in trial_rngs(master_seed, 0, trials)
         ]
     else:
         trace = _record_trace(n, events, algo, t)

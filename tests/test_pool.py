@@ -331,16 +331,20 @@ def test_monte_carlo_single_trial():
     assert rep.fails_per_trial == (stats.fails,)
 
 
-def test_monte_carlo_matches_sequential_runs():
-    # trials over one cached trace must reproduce run_algorithm_b bit for bit
-    g = gen_crown(4)
+def test_monte_carlo_matches_sequential_runs(monkeypatch):
+    # trials over one cached trace, on one re-keyed generator, must reproduce
+    # run_algorithm_b bit for bit; on C5 with t=3 each trial's 9 draws leave
+    # Philox's buffer mid-block, and p = 0.5 makes the draws matter
     master = 99
-    rep = monte_carlo_verify(g, GreedyCcp(), 32, 20, master)
-    for i in range(20):
-        _, stats = run_on(g, 32, trial_seed(master, i))
-        assert rep.colors_b_per_trial[i] == stats.colors_b
-        assert rep.colors_a_per_trial[i] == stats.colors_a
-        assert rep.fails_per_trial[i] == stats.fails
+    for g, t, forced_p in ((gen_crown(4), 32, None), (gen_cycle(5), 3, 0.5)):
+        if forced_p is not None:
+            force_p(monkeypatch, forced_p)
+        rep = monte_carlo_verify(g, GreedyCcp(), t, 20, master)
+        for i in range(20):
+            _, stats = run_on(g, t, trial_seed(master, i))
+            assert rep.colors_b_per_trial[i] == stats.colors_b
+            assert rep.colors_a_per_trial[i] == stats.colors_a
+            assert rep.fails_per_trial[i] == stats.fails
 
 
 def test_monte_carlo_jobs_do_not_change_report(monkeypatch):
@@ -379,12 +383,12 @@ def test_monte_carlo_below_worker_threshold_stays_in_process(monkeypatch, record
 
 def test_worker_count_follows_modeled_work(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    # crown k=8 (n = 16), t = 64: 2,000 trials stay in process, 10,000 get two
+    # crown k=8 (n = 16), t = 64: 2,000 trials stay in process, 20,000 get two
     assert pool._workers(2, 2000, 16, 64) <= 1
-    assert pool._workers(2, 10_000, 16, 64) == 2
-    # a trial on G(300, p) with t = 64 costs about 6 crown trials
+    assert pool._workers(2, 20_000, 16, 64) == 2
+    # a trial on G(300, p) with t = 64 costs about 12 crown trials
     assert pool._workers(2, 200, 300, 64) <= 1
-    assert pool._workers(2, 500, 300, 64) == 2
+    assert pool._workers(2, 1000, 300, 64) == 2
     assert pool._workers(8, 10**6, 300, 64) == 4
     assert pool._workers(1, 10**6, 300, 64) == 1
 
@@ -396,14 +400,37 @@ def test_monte_carlo_crown_fail_rate():
     assert rep.bound_holds and rep.per_trial_invariant_ok
 
 
-def test_monte_carlo_nondeterministic_algo_path():
-    # an A without the deterministic flag goes through the slow per-trial path
-    class ShiftedGreedy(GreedyCcp):
-        deterministic = False
+class UndeclaredGreedy(GreedyCcp):
+    deterministic = False
 
-    g = gen_gnp(5, 0.5, 34000)
-    rep = monte_carlo_verify(g, ShiftedGreedy(), 8, 5, 2)
+
+def test_monte_carlo_nondeterministic_algo_path(monkeypatch, recording_executor):
+    # an A without the deterministic flag records a trace per trial; trial i
+    # still draws trial_seed(2, i)'s stream, in this process whatever jobs is
+    monkeypatch.setattr(pool, "MIN_US_PER_WORKER", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    g = gen_crown(4)   # t = 16: B's colors and fails vary from trial to trial
+    rep = monte_carlo_verify(g, UndeclaredGreedy(), 16, 5, 2)
     assert rep.trials == 5 and rep.per_trial_invariant_ok
+    for i in range(5):
+        _, stats = run_algorithm_b(g.n, events_from_graph(g), UndeclaredGreedy(), 16, trial_seed(2, i))
+        assert rep.colors_b_per_trial[i] == stats.colors_b
+        assert rep.colors_a_per_trial[i] == stats.colors_a
+        assert rep.fails_per_trial[i] == stats.fails
+    assert len(set(rep.colors_b_per_trial)) > 1   # the trials drew distinct streams
+    assert monte_carlo_verify(g, UndeclaredGreedy(), 16, 5, 2, jobs=2) == rep
+    assert recording_executor == []
+
+
+class UnusedCcp(GreedyCcp):
+    def start(self, n, t):
+        raise AssertionError("A ran before the master seed was checked")
+
+
+@pytest.mark.parametrize("master_seed", [1.7, True, -1])
+def test_monte_carlo_rejects_a_seed_that_is_not_a_nonnegative_int(master_seed):
+    with pytest.raises(InputError, match="master seed"):
+        monte_carlo_verify(gen_cycle(5), UnusedCcp(), 2, 4, master_seed)
 
 
 def test_monte_carlo_report_records_rng_provenance():

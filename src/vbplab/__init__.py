@@ -43,7 +43,6 @@ from .graphs import (
     validate_coloring,
     validate_fractional_coloring,
 )
-from .kernels import BACKEND
 from .pool import (
     fail_probability_bound,
     monte_carlo_verify,

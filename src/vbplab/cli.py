@@ -3,19 +3,22 @@
 `gen` writes a family's graph file and takes `--seed` (for gnp); `reduce`
 turns a graph or copies file into a vbp file. Every instance, from a file
 or a family, comes through `_load_graph`, which applies `--t` over a file's
-`t` line. `run`, `verify` and `bench` print a report framed by `_report`:
-the config echo (all six report flags), the version, the body's fields
-and wall_time_s. Reports are canonical JSON (sorted keys) or CSV (the flat
-"aggregates" block only); re-running a fixed config reproduces the JSON
-byte for byte except the wall_time_s field. Exit codes: 0 success, 1
-invariant failure, 2 bad input (a bad flag or count, a negative --seed,
-or a flag the subcommand does not take), 3 resource limit.
+`t` line. `verify`, each `run` algorithm and each `bench` target has its
+own parser, which takes only the report flags its body reads (`_RUNS`,
+`_BENCHES`, `_VERIFY`). They print a report framed by `_report`: the
+config echo (every parsed flag but --format), the version, the body's
+fields and wall_time_s. Reports are canonical JSON (sorted keys) or CSV
+(the flat "aggregates" block only); re-running a fixed config reproduces
+the JSON byte for byte except the wall_time_s field. Exit codes: 0
+success, 1 invariant failure, 2 bad input (a bad flag or count, a negative
+--seed, or a flag the command does not take), 3 resource limit.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -45,7 +48,6 @@ from .graphs import (
     greedy_online_coloring,
     parse_instance_text,
 )
-from .kernels import BACKEND
 from .pool import MonteCarloReport, monte_carlo_verify
 from .reductions import check_reduced_size, reduce_copies, reduce_graph
 from .rng import trial_seed
@@ -169,26 +171,17 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-def _report(args, body, config: dict, **fields) -> int:
+def _report(body, args) -> int:
     """Emit the report that `body(args, report)` fills in after the config
-    echo, the version and any further top-level `fields`; wall_time_s times
-    the body. Returns the body's exit code."""
-    config = {"subcommand": args.subcommand, "seed": args.seed, "jobs": args.jobs,
-              "max_n": args.max_n, "max_items": args.max_items, **config}
-    report = {"config": config, "version": __version__, **fields}
+    echo (every parsed flag but --format) and the version; wall_time_s
+    times the body. Returns the body's exit code."""
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "format")}
+    report = {"config": config, "version": __version__}
     start = time.perf_counter()
     code = body(args, report)
     report["wall_time_s"] = round(time.perf_counter() - start, 6)
     _emit(report, args.format)
     return code
-
-
-def _instance_echo(args, **config) -> dict:
-    """The config fields that run and bench echo about their instance."""
-    return {
-        "input": args.input, "family": args.family,
-        "n": args.n, "k": args.k, "p": args.p, "t": args.t, **config,
-    }
 
 
 def _run_greedy(args, report: dict) -> int:
@@ -231,14 +224,12 @@ def _run_first_fit(args, report: dict) -> int:
     return 0
 
 
-def _algorithm_b(args, report: dict, default_trials: int) -> MonteCarloReport:
+def _algorithm_b(args, report: dict) -> MonteCarloReport:
     """Seeded trials of algorithm B over GreedyCcp, one report row each."""
     graph, t = _load_graph(args)
     if not t:
         raise InputError("algorithm-b needs a copies parameter: add --t or a t line")
-    mc = monte_carlo_verify(
-        graph, GreedyCcp(), t, args.trials or default_trials, args.seed, jobs=args.jobs
-    )
+    mc = monte_carlo_verify(graph, GreedyCcp(), t, args.trials, args.seed, jobs=args.jobs)
     report["per_trial"] = [
         {"colors_b": cb, "colors_a": ca, "fails": fl}
         for cb, ca, fl in zip(mc.colors_b_per_trial, mc.colors_a_per_trial, mc.fails_per_trial)
@@ -247,7 +238,7 @@ def _algorithm_b(args, report: dict, default_trials: int) -> MonteCarloReport:
 
 
 def _run_algorithm_b(args, report: dict) -> int:
-    mc = _algorithm_b(args, report, default_trials=1)
+    mc = _algorithm_b(args, report)
     report["aggregates"] = {
         "mean_colors_b": mc.mean_colors_b,
         "mean_colors_a": mc.mean_colors_a,
@@ -261,25 +252,8 @@ def _run_algorithm_b(args, report: dict) -> int:
     return 1 if mc.infeasible_trials else 0
 
 
-_RUNS = {
-    "greedy": _run_greedy,
-    "greedy-ccp": _run_greedy_ccp,
-    "first-fit": _run_first_fit,
-    "algorithm-b": _run_algorithm_b,
-}
-
-
-def cmd_run(args) -> int:
-    if args.trials is not None and args.algorithm != "algorithm-b":
-        raise InputError(f"{args.algorithm} is deterministic: only algorithm-b takes --trials")
-    config = _instance_echo(args, algorithm=args.algorithm, trials=args.trials or 1)
-    return _report(args, _RUNS[args.algorithm], config)
-
-
 def _verify(args, report: dict) -> int:
-    suite = run_verification_suite(
-        max_n=args.max_n, samples=args.trials or 50, seed=args.seed
-    )
+    suite = run_verification_suite(max_n=args.max_n, samples=args.trials, seed=args.seed)
     d = report["suite"] = suite.to_dict()
     report["aggregates"] = {
         "passed": d["passed"],
@@ -288,10 +262,6 @@ def _verify(args, report: dict) -> int:
         "instances": sum(c["instances"] for c in d["checks"]),
     }
     return 0 if suite.passed else 1
-
-
-def cmd_verify(args) -> int:
-    return _report(args, _verify, {"trials": args.trials or 50})
 
 
 def _bench_first_fit(args, report: dict) -> int:
@@ -325,7 +295,7 @@ def _bench_first_fit(args, report: dict) -> int:
 
 
 def _bench_algorithm_b(args, report: dict) -> int:
-    mc = _algorithm_b(args, report, default_trials=100)
+    mc = _algorithm_b(args, report)
     report["rng"] = {
         "master_seed": mc.master_seed,
         "derivation": mc.seed_derivation,
@@ -349,12 +319,19 @@ def _bench_algorithm_b(args, report: dict) -> int:
     return 0 if ok else 1
 
 
-_BENCHES = {"first-fit": _bench_first_fit, "algorithm-b": _bench_algorithm_b}
-
-
-def cmd_bench(args) -> int:
-    config = _instance_echo(args, target=args.target, trials=args.trials)
-    return _report(args, _BENCHES[args.target], config, backend=BACKEND)
+# Each report command's body and the report flags it reads beside --seed
+# and --format, with their defaults.
+_RUNS = {
+    "greedy": (_run_greedy, {"--max-n": 16}),
+    "greedy-ccp": (_run_greedy_ccp, {"--max-n": 16}),
+    "first-fit": (_run_first_fit, {"--max-items": 14}),
+    "algorithm-b": (_run_algorithm_b, {"--trials": 1, "--jobs": 1}),
+}
+_BENCHES = {
+    "first-fit": (_bench_first_fit, {"--trials": None, "--max-items": 14}),
+    "algorithm-b": (_bench_algorithm_b, {"--trials": 100, "--jobs": 1}),
+}
+_VERIFY = (_verify, {"--trials": 50, "--max-n": 16})
 
 
 # ---------------------------------------------------------------- arg parsing
@@ -377,16 +354,28 @@ def _seed_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_int_at_least(0), default=0, help="master seed (default 0)")
 
 
-def _report_flags(p: argparse.ArgumentParser) -> None:
-    """The six flags every report echoes: --seed and five more."""
+# The report flags a command may read beside --seed and --format, each
+# with its least value and help.
+_COUNT_FLAGS = {
+    "--trials": (1, "trial/sample count"),
+    "--jobs": (1, "parallel workers for trials"),
+    "--max-n": (0, "largest graph the exact coloring oracle may attempt"),
+    "--max-items": (0, "largest instance the exact packing oracle may attempt"),
+}
+
+
+def _report_parser(sub, name: str, body, flags: dict, **kwargs) -> argparse.ArgumentParser:
+    """The parser of a report command: --seed, --format and the report
+    `flags` its body reads, with their defaults; it runs the body under
+    _report."""
+    p = sub.add_parser(name, **kwargs)
     _seed_flag(p)
-    p.add_argument("--trials", type=_int_at_least(1), default=None, help="trial/sample count")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel workers for trials")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--max-n", type=_int_at_least(0), default=16, dest="max_n",
-                   help="largest graph the exact coloring oracle may attempt")
-    p.add_argument("--max-items", type=_int_at_least(0), default=14, dest="max_items",
-                   help="largest instance the exact packing oracle may attempt")
+    for flag, default in flags.items():
+        least, text = _COUNT_FLAGS[flag]
+        p.add_argument(flag, type=_int_at_least(least), default=default, help=text)
+    p.set_defaults(func=functools.partial(_report, body))
+    return p
 
 
 def _family_flags(p: argparse.ArgumentParser) -> None:
@@ -396,16 +385,19 @@ def _family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t", type=_int_at_least(1), default=None, help="copies per vertex")
 
 
-def _instance_flags(p: argparse.ArgumentParser) -> None:
-    """What run and bench take: the report flags, --input or --family, and
-    the family flags."""
-    _report_flags(p)
-    p.add_argument("--input", help="instance file (graph, copies, or vbp)")
-    p.add_argument("--family", choices=_FAMILIES, help="generated instance family")
-    _family_flags(p)
+def _instance_parsers(sub, commands: dict) -> None:
+    """One report parser per run algorithm or bench target, each also taking
+    --input or --family and the family flags."""
+    for name, (body, flags) in commands.items():
+        p = _report_parser(sub, name, body, flags)
+        p.add_argument("--input", help="instance file (graph, copies, or vbp)")
+        p.add_argument("--family", choices=_FAMILIES, help="generated instance family")
+        _family_flags(p)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="vbplab",
         description="Online coloring / vector bin packing reduction lab",
@@ -427,26 +419,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_red.set_defaults(func=cmd_reduce)
 
     p_run = sub.add_parser("run", help="run one online algorithm")
-    p_run.add_argument("algorithm", choices=_RUNS)
-    _instance_flags(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_ver = sub.add_parser("verify", help="run the invariant suite")
-    _report_flags(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
-
+    _instance_parsers(p_run.add_subparsers(dest="algorithm", required=True), _RUNS)
+    _report_parser(sub, "verify", *_VERIFY, help="run the invariant suite")
     p_bench = sub.add_parser("bench", help="measurement harness")
-    p_bench.add_argument("target", choices=_BENCHES)
-    _instance_flags(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
-
+    _instance_parsers(p_bench.add_subparsers(dest="target", required=True), _BENCHES)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -34,7 +34,8 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-# The one kernel implementation; `vbplab bench` reports carry this name.
+# The one kernel implementation's name. Only perfbench/run.py reads it, for
+# its env line; it goes once the benchmark harness stops reading it.
 BACKEND = "pure-python"
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InputError, ProtocolError
 from .graphs import ColorId, Coloring, Graph, checked_events, events_from_graph
-from .rng import GENERATOR_NAME, SEED_DERIVATION, Seed, make_rng, trial_rngs
+from .rng import GENERATOR_NAME, SEED_DERIVATION, Seed, check_seed, make_rng, trial_rngs
 
 _REL_TOL = 1e-12
 # Modeled trial time, in microseconds, that a worker process must get before
@@ -179,16 +179,18 @@ def run_algorithm_b(
     """One seeded simulation run; returns B's coloring and its statistics.
 
     p is `sampling_probability(n, t)` = min(1, 2 ln(n)/t). The events must
-    be n back-edge masks, vertex v's with bits for earlier vertices only
-    (else InputError). The output coloring is feasible for the underlying
+    be n back-edge masks, vertex v's with bits for earlier vertices only,
+    and the seed a nonnegative int or a SeedSequence (else InputError,
+    before A runs). The output coloring is feasible for the underlying
     graph whenever A honors the copies-coloring protocol (violations raise
     ProtocolError).
     """
     if n < 1 or t < 1:
         raise InputError("need n >= 1 and t >= 1")
     p = sampling_probability(n, t)
+    rng = make_rng(seed)
     trace = _record_trace(n, events, algo, t)
-    picks, (colors_b, colors_a, fails, pool_size, feasible) = _trial(trace, p, make_rng(seed))
+    picks, (colors_b, colors_a, fails, pool_size, feasible) = _trial(trace, p, rng)
     coloring: Coloring = dict(enumerate(picks, 1))
     return coloring, SimulationStats(colors_a, colors_b, fails, pool_size, p, feasible)
 
@@ -285,12 +287,12 @@ def monte_carlo_verify(
     coloring is not proper. Trials are independent streams,
     so jobs > 1 only parallelizes; aggregation is in trial order either way.
     Runs too small to pay for a worker stay in this process (see _workers).
-    The master seed must be a nonnegative int (else InputError, before A runs).
+    trials must be a positive int and the master seed a nonnegative one
+    (else InputError, before A runs).
     """
-    if trials < 1:
-        raise InputError("need at least one trial")
-    if isinstance(master_seed, bool) or not isinstance(master_seed, int) or master_seed < 0:
-        raise InputError(f"master seed must be a nonnegative int, got {master_seed!r}")
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise InputError(f"need a positive int count of trials, got {trials!r}")
+    master_seed = check_seed(master_seed, "master seed")
     n = graph.n
     p = sampling_probability(n, t)
     events = events_from_graph(graph)

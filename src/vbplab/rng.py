@@ -17,9 +17,12 @@ so the derivation, and every stream, is unchanged.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Iterator
 
 import numpy as np
+
+from .errors import InputError
 
 GENERATOR_NAME = "philox4x64"
 SEED_DERIVATION = "SeedSequence(entropy=master_seed, spawn_key=(trial_index,)) -> Philox"
@@ -36,18 +39,26 @@ _MASK32 = 0xFFFFFFFF
 _KEY_BLOCK = 4096
 
 
+def check_seed(seed, name: str = "seed") -> int:
+    """`seed` as an int; InputError for a bool, a non-integral or a negative seed."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InputError(f"{name} must be a nonnegative int, got {seed!r}")
+    return int(seed)
+
+
 def make_rng(seed: Seed) -> np.random.Generator:
     """Deterministic generator from an integer seed or a SeedSequence."""
     if isinstance(seed, np.random.SeedSequence):
         seq = seed
     else:
-        seq = np.random.SeedSequence(entropy=int(seed))
+        seq = np.random.SeedSequence(entropy=check_seed(seed))
     return np.random.Generator(np.random.Philox(seq))
 
 
 def trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSequence:
     """Independent per-trial stream: spawn key (trial_index,) off the master seed."""
-    return np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(trial_index),))
+    seed = check_seed(master_seed, "master seed")
+    return np.random.SeedSequence(entropy=seed, spawn_key=(int(trial_index),))
 
 
 def _mix_word(mixer: np.ndarray, word: np.ndarray, hash_const: int) -> tuple[np.ndarray, int]:

@@ -1,9 +1,12 @@
 """Keeps tests/ importable (oracles.py) under pytest's default import mode,
 and holds fixtures shared across test modules."""
 
+import argparse
 import concurrent.futures
 
 import pytest
+
+from vbplab.cli import build_parser
 
 
 @pytest.fixture
@@ -29,3 +32,19 @@ def recording_executor(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     return started
+
+
+@pytest.fixture
+def command_parsers():
+    """Each vbplab command's parser, keyed by its words: ("gen",),
+    ("run", "greedy"), ..., ("verify",)."""
+    def leaves(words, parser):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            return {words: parser}
+        return {
+            key: leaf
+            for name, child in subs[0].choices.items()
+            for key, leaf in leaves(words + (name,), child).items()
+        }
+    return leaves((), build_parser())

@@ -389,20 +389,15 @@ def no_work(monkeypatch):
         ("gen", "cycle", "--n", "5", "--t", "-3"),
         ("reduce", "in.graph", "--t", "0"),
         ("run", "greedy-ccp", "--family", "cycle", "--n", "5", "--t", "0"),
+        ("run", "algorithm-b", "--family", "cycle", "--n", "5", "--t", "4", "--jobs", "0"),
+        ("bench", "first-fit", "--family", "gnp", "--n", "5", "--trials", "0"),
+        ("bench", "algorithm-b", "--family", "crown", "--k", "3", "--t", "4", "--trials", "0"),
+        ("verify", "--trials", "0"),
     ],
 )
 def test_non_positive_counts_exit_2_before_any_work(no_work, capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "must be at least 1" in err
-
-
-@pytest.mark.parametrize("algorithm", ["greedy", "greedy-ccp", "first-fit"])
-def test_trials_on_a_deterministic_run_exits_2_before_any_work(no_work, capsys, algorithm):
-    # one run of a deterministic algorithm is every run: --trials would
-    # only repeat its row
-    argv = ("run", algorithm, "--family", "cycle", "--n", "5", "--t", "2", "--trials", "3")
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and out == "" and f"{algorithm} is deterministic" in err
 
 
 @pytest.mark.parametrize(
@@ -437,35 +432,71 @@ def test_negative_seed_exits_2_before_any_work(no_work, capsys, argv):
     assert code == 2 and out == "" and "must be at least 0" in err
 
 
-@pytest.mark.parametrize("flag", ["--max-n", "--max-items"])
 @pytest.mark.parametrize(
-    "argv",
+    "argv, flag",
     [
-        ("run", "greedy", "--family", "cycle", "--n", "5"),
-        ("run", "first-fit", "--family", "cycle", "--n", "5"),
-        ("verify",),
+        (("run", "greedy", "--family", "cycle", "--n", "5"), "--max-n"),
+        (("run", "greedy-ccp", "--family", "cycle", "--n", "5", "--t", "2"), "--max-n"),
+        (("run", "first-fit", "--family", "cycle", "--n", "5"), "--max-items"),
+        (("bench", "first-fit", "--family", "cycle", "--n", "5"), "--max-items"),
+        (("verify",), "--max-n"),
     ],
-    ids=["run-greedy", "run-first-fit", "verify"],
+    ids=[
+        "run-greedy---max-n", "run-greedy-ccp---max-n", "run-first-fit---max-items",
+        "bench-first-fit---max-items", "verify---max-n",
+    ],
 )
 def test_negative_size_limit_exits_2_before_any_work(no_work, capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv, flag, "-1")
     assert code == 2 and out == "" and "must be at least 0" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("gen", "cycle", "--n", "5", "--jobs", "2"),
-        ("gen", "cycle", "--n", "5", "--format", "csv"),
-        ("reduce", "f.g", "--trials", "3"),
-        ("reduce", "f.g", "--max-items", "3"),
-        ("reduce", "f.g", "--seed", "1"),
-    ],
-    ids=["gen-jobs", "gen-format", "reduce-trials", "reduce-max-items", "reduce-seed"],
-)
+# the rest of a small, valid command line per report command
+INSTANCE = ("--family", "cycle", "--n", "5", "--t", "2")
+SMALL = {("verify",): ("--max-n", "2", "--trials", "1")}
+
+# The report flags each command does not read. Deterministic runs take no
+# --trials: one run is every run, so more trials would only repeat its row.
+NOT_READ = {
+    ("run", "greedy"): ("--trials", "--jobs", "--max-items"),
+    ("run", "greedy-ccp"): ("--trials", "--jobs", "--max-items"),
+    ("run", "first-fit"): ("--trials", "--jobs", "--max-n"),
+    ("run", "algorithm-b"): ("--max-n", "--max-items"),
+    ("bench", "first-fit"): ("--jobs", "--max-n"),
+    ("bench", "algorithm-b"): ("--max-n", "--max-items"),
+    ("verify",): ("--jobs", "--max-items"),
+}
+NOT_READ_CASES = {
+    "gen-jobs": ("gen", "cycle", "--n", "5", "--jobs", "2"),
+    "gen-format": ("gen", "cycle", "--n", "5", "--format", "csv"),
+    "reduce-trials": ("reduce", "f.g", "--trials", "3"),
+    "reduce-max-items": ("reduce", "f.g", "--max-items", "3"),
+    "reduce-seed": ("reduce", "f.g", "--seed", "1"),
+    **{
+        f"{'-'.join(command)}-{flag[2:]}": (*command, *SMALL.get(command, INSTANCE), flag, "3")
+        for command, flags in NOT_READ.items()
+        for flag in flags
+    },
+}
+
+
+@pytest.mark.parametrize("argv", NOT_READ_CASES.values(), ids=NOT_READ_CASES.keys())
 def test_flags_a_subcommand_does_not_read_exit_2(no_work, capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "unrecognized arguments" in err
+
+
+def test_config_echoes_exactly_the_parsed_flags(command_parsers, capsys):
+    reports = {k: p for k, p in command_parsers.items() if k[0] in ("run", "bench", "verify")}
+    assert sorted(reports) == sorted(NOT_READ)
+    for command, parser in reports.items():
+        code, out, _ = run_cli(capsys, *command, *SMALL.get(command, INSTANCE))
+        config = json.loads(out)["config"]
+        assert code == 0 and config.pop("subcommand") == command[0], command
+        if len(command) > 1:
+            assert config.pop("algorithm" if command[0] == "run" else "target") == command[1]
+        flags = {a.dest for a in parser._actions if a.option_strings} - {"help", "format"}
+        assert sorted(config) == sorted(flags), command
 
 
 def test_version_flag(capsys):

@@ -424,13 +424,29 @@ def test_monte_carlo_nondeterministic_algo_path(monkeypatch, recording_executor)
 
 class UnusedCcp(GreedyCcp):
     def start(self, n, t):
-        raise AssertionError("A ran before the master seed was checked")
+        raise AssertionError("A ran before its arguments were checked")
 
 
 @pytest.mark.parametrize("master_seed", [1.7, True, -1])
 def test_monte_carlo_rejects_a_seed_that_is_not_a_nonnegative_int(master_seed):
     with pytest.raises(InputError, match="master seed"):
         monte_carlo_verify(gen_cycle(5), UnusedCcp(), 2, 4, master_seed)
+
+
+@pytest.mark.parametrize("seed", [1.7, True, -1])
+def test_run_algorithm_b_rejects_a_seed_that_is_not_a_nonnegative_int(seed):
+    # 1.7 and True once ran as seed 1
+    g = gen_cycle(7)
+    with pytest.raises(InputError, match="seed"):
+        run_algorithm_b(g.n, events_from_graph(g), UnusedCcp(), 8, seed)
+
+
+@pytest.mark.parametrize("trials", [True, 2.5, 0])
+def test_monte_carlo_rejects_trials_that_are_not_a_positive_int(trials):
+    # True once ran one trial and reported trials: True; 2.5 raised a bare
+    # TypeError after A's trace was recorded
+    with pytest.raises(InputError, match="trials"):
+        monte_carlo_verify(gen_cycle(5), UnusedCcp(), 2, trials, 0)
 
 
 def test_monte_carlo_report_records_rng_provenance():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from vbplab import rng
+from vbplab.errors import InputError
+from vbplab.generators import gen_gnp
 from vbplab.rng import make_rng, trial_rngs, trial_seed
 
 # one to five words of master seed: words past SeedSequence's pool of 4 are
@@ -46,3 +48,21 @@ def test_rekeyed_generator_draws_as_a_fresh_one(start, stop):
         drawn += 1
     assert drawn == stop - start
 
+
+
+@pytest.mark.parametrize("seed", [1.7, True, -1, "3"])
+@pytest.mark.parametrize(
+    "use",
+    [make_rng, lambda seed: trial_seed(seed, 0), lambda seed: gen_gnp(5, 0.5, seed)],
+    ids=["make_rng", "trial_seed", "gen_gnp"],
+)
+def test_a_seed_that_is_not_a_nonnegative_int_is_refused(use, seed):
+    # 1.7 and True were once truncated to seed 1
+    with pytest.raises(InputError, match="seed must be a nonnegative int"):
+        use(seed)
+
+
+def test_integral_seeds_and_seed_sequences_are_taken():
+    want = make_rng(7).random(3).tolist()
+    assert make_rng(np.int64(7)).random(3).tolist() == want
+    assert make_rng(np.random.SeedSequence(7)).random(3).tolist() == want

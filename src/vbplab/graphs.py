@@ -305,10 +305,9 @@ def parse_instance_text(text: str) -> tuple[Graph, int | None]:
     t = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         # InputError is a ValueError: every message gets its line prefix here.
         try:
             if parts[0] == "g" and len(parts) == 3:

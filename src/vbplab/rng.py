@@ -41,6 +41,8 @@ _KEY_BLOCK = 4096
 
 def check_seed(seed, name: str = "seed") -> int:
     """`seed` as an int; InputError for a bool, a non-integral or a negative seed."""
+    if type(seed) is int and seed >= 0:
+        return seed
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise InputError(f"{name} must be a nonnegative int, got {seed!r}")
     return int(seed)
@@ -58,7 +60,7 @@ def make_rng(seed: Seed) -> np.random.Generator:
 def trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSequence:
     """Independent per-trial stream: spawn key (trial_index,) off the master seed."""
     seed = check_seed(master_seed, "master seed")
-    return np.random.SeedSequence(entropy=seed, spawn_key=(int(trial_index),))
+    return np.random.SeedSequence(entropy=seed, spawn_key=(check_seed(trial_index, "trial index"),))
 
 
 def _mix_word(mixer: np.ndarray, word: np.ndarray, hash_const: int) -> tuple[np.ndarray, int]:

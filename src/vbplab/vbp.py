@@ -8,14 +8,24 @@ one int in the `Lanes` form, so each fit test in First-Fit, packing
 validation and the exact optimum's kernel is one add and one AND. A packing
 is its bins' item lists; loads live only inside those fit tests. Fractions
 appear only at I/O: `make_instance` and the text format.
+
+A row enters the `Lanes` form only through `Lanes.pack`, which also checks
+it: `VbpInstance.packed`, `FirstFitPacker.place` and the reductions' shadow
+loads all call it, and it raises InputError on a row that is not d ints in
+0..capacity. Each coordinate takes an 8-, 16-, 32- or 64-bit field, so a
+row packs in one C call, from its bytes as an unsigned array; a capacity of
+2^63 or more fits no array item and its rows pack by shift and sum.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 from . import kernels
@@ -25,6 +35,11 @@ Row = tuple[int, ...]
 Vector = tuple[Fraction, ...]
 
 DEFAULT_EXACT_PACK_LIMIT = 14
+
+# Unsigned array codes by item width in bits, picked by itemsize since a
+# letter's size varies by platform.
+_ARRAY_CODES = {8 * array(c).itemsize: c for c in "BHILQ"}    # 8, 16, 32, 64
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _coordinate(value) -> Fraction:
@@ -57,29 +72,79 @@ class Lanes:
     fitting load plus one row stays below 2^width in every field, so no
     field carries into the next as long as no load over capacity takes
     another add.
+
+    `width` is the smallest of 8, 16, 32 and 64 bits that holds
+    capacity.bit_length() + 1, so a row is one unsigned machine array and
+    `pack` is one C call: the array's little-endian bytes read as an int.
+    A capacity of 2^63 or more fits no array item; construction then
+    returns a `_ShiftedLanes`, whose fields are exactly
+    capacity.bit_length() + 1 bits wide and whose rows pack by shift and
+    sum. Either `pack` raises InputError on a row that is not d ints in
+    0..capacity.
     """
 
-    __slots__ = ("d", "capacity", "width", "guard", "empty", "_shifts")
+    __slots__ = ("d", "capacity", "width", "guard", "empty", "_code", "_high", "_shifts")
+
+    def __new__(cls, d: int, capacity: int):
+        if capacity.bit_length() >= max(_ARRAY_CODES):
+            cls = _ShiftedLanes
+        return super().__new__(cls)
+
+    def __getnewargs__(self):
+        return self.d, self.capacity
 
     def __init__(self, d: int, capacity: int):
         if d < 1:
             raise InputError("dimension must be >= 1")
         self.d = d
         self.capacity = capacity
-        self.width = capacity.bit_length() + 1
+        bits = capacity.bit_length()
+        self.width = next((w for w in _ARRAY_CODES if w > bits), bits + 1)
+        self._code = _ARRAY_CODES.get(self.width)
         self._shifts = range(0, d * self.width, self.width)
         ones = sum(1 << s for s in self._shifts)
         half = 1 << (self.width - 1)
         self.guard = ones * half
         self.empty = ones * (half - 1 - capacity)
+        # Every bit at or above capacity.bit_length() in every field.
+        self._high = ones * (half * 2 - (1 << bits))
 
     def pack(self, row: Row) -> int:
-        """The row as one int; rejects a wrong length or an entry outside 0..capacity."""
+        """The row as one int, from its bytes as an array of `width`-bit
+        unsigned items. The array refuses a negative, too wide or non-int
+        entry. An entry that fits its field but exceeds capacity sets a bit
+        of `_high`, or else its guard bit once lifted by `empty`; the guard
+        alone would miss an entry near 2^width, which carries into the next
+        field and clears its own guard bit."""
         if len(row) != self.d:
             raise InputError("dimension mismatch")
-        if min(row) < 0 or max(row) > self.capacity:
+        try:
+            lanes = array(self._code, row)
+        except (OverflowError, TypeError) as exc:
+            raise InputError(f"row entry not an int in 0..{self.capacity}: {exc}") from exc
+        if _BIG_ENDIAN:
+            lanes.byteswap()
+        w = int.from_bytes(lanes.tobytes(), "little")
+        if w & self._high or (self.empty + w) & self.guard:
             raise InputError(f"row entry outside 0..{self.capacity}")
-        return sum([x << s for x, s in zip(row, self._shifts) if x])
+        return w
+
+
+class _ShiftedLanes(Lanes):
+    """`Lanes` over a capacity of 2^63 or more, whose fields no array item holds."""
+
+    __slots__ = ()
+
+    def pack(self, row: Row) -> int:
+        """The row as one int, by shift and sum."""
+        if len(row) != self.d:
+            raise InputError("dimension mismatch")
+        try:
+            if min(row) < 0 or max(row) > self.capacity:
+                raise InputError(f"row entry outside 0..{self.capacity}")
+            return sum([x << s for x, s in zip(row, self._shifts)])
+        except TypeError as exc:
+            raise InputError(f"row entry not an int in 0..{self.capacity}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -301,7 +366,7 @@ def parse_vbp_text(text: str) -> VbpInstance:
     # holds a handful among n*d), in first-appearance order, so errors are
     # reported as make_instance would: syntax first, then per item range
     # before dimension.
-    values: dict[str, Fraction] = dict.fromkeys(tok for row in rows for tok in row)
+    values: dict[str, Fraction] = dict.fromkeys(chain.from_iterable(rows))
     for tok in values:
         values[tok] = _coordinate(tok)
     if d < 1:
@@ -315,11 +380,14 @@ def parse_vbp_text(text: str) -> VbpInstance:
             raise InputError(f"item {i} has dimension {len(row)}, expected {d}")
     scale = math.lcm(*{f.denominator for f in values.values()})
     entry = {tok: f.numerator * scale // f.denominator for tok, f in values.items()}
-    return VbpInstance.from_rows(d, scale, [tuple(map(entry.__getitem__, row)) for row in rows])
+    # Already canonical: a denominator carrying scale's full power of a
+    # prime p has a numerator prime to p, so its entry is too, and the gcd
+    # of scale with the entries is 1.
+    return VbpInstance(d, scale, tuple([tuple(map(entry.__getitem__, row)) for row in rows]))
 
 
 def format_vbp_text(inst: VbpInstance) -> str:
-    token = {e: str(Fraction(e, inst.scale)) for e in {e for row in inst.rows for e in row}}
+    token = {e: str(Fraction(e, inst.scale)) for e in set().union(*inst.rows)}
     lines = [f"vbp {inst.n} {inst.d}"]
     lines.extend(" ".join(map(token.__getitem__, row)) for row in inst.rows)
     return "\n".join(lines) + "\n"

@@ -65,6 +65,16 @@ def fraction_items(inst: VbpInstance) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(Fraction(x, inst.scale) for x in row) for row in inst.rows)
 
 
+def shift_pack(row, capacity: int) -> tuple[int, int]:
+    """(field width, packed int) of an int row over `capacity`, by shift and
+    sum: the narrowest of 8, 16, 32 and 64 bits that holds
+    capacity.bit_length() + 1, or exactly that many past 64, with entry j
+    in bits [j*width, (j+1)*width)."""
+    bits = capacity.bit_length() + 1
+    width = min([w for w in (8, 16, 32, 64) if w >= bits], default=bits)
+    return width, sum(x << (j * width) for j, x in enumerate(row))
+
+
 def brute_chromatic(graph: Graph) -> int:
     """Smallest k admitting a proper coloring, by backtracking in vertex
     order. A vertex may take colors 0..used, where used colors are 0..used-1,

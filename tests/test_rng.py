@@ -66,3 +66,21 @@ def test_integral_seeds_and_seed_sequences_are_taken():
     want = make_rng(7).random(3).tolist()
     assert make_rng(np.int64(7)).random(3).tolist() == want
     assert make_rng(np.random.SeedSequence(7)).random(3).tolist() == want
+
+
+@pytest.mark.parametrize("index", [1.5, True, -1, "1"])
+def test_a_trial_index_that_is_not_a_nonnegative_int_is_refused(index):
+    # 1.5 and True were once truncated to trial 1's stream
+    with pytest.raises(InputError, match="trial index must be a nonnegative int"):
+        trial_seed(7, index)
+
+
+def test_integral_trial_indices_are_taken():
+    assert trial_seed(7, np.int64(3)).spawn_key == trial_seed(7, 3).spawn_key == (3,)
+    assert trial_seed(7, 2**40).spawn_key == (2**40,)
+
+
+def test_check_seed_returns_the_int():
+    assert rng.check_seed(0) == 0
+    assert type(rng.check_seed(np.uint32(5))) is int
+    assert rng.check_seed(np.uint32(5)) == 5

@@ -1,5 +1,6 @@
 """Vector bin packing: exact-rational feasibility, First-Fit, exact optimum."""
 
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_opt_bins, fraction_fits, fraction_items, naive_first_fit
+from oracles import brute_opt_bins, fraction_fits, fraction_items, naive_first_fit, shift_pack
 from vbplab import vbp
 from vbplab.errors import InputError, ResourceLimitError
 from vbplab.generators import gen_cycle
@@ -17,6 +18,7 @@ from vbplab.rng import make_rng
 from vbplab.vbp import (
     Bin,
     FirstFitPacker,
+    Lanes,
     PackingState,
     VbpInstance,
     first_fit_online,
@@ -90,16 +92,50 @@ def test_fits_dimension_mismatch():
         rows_fit([(1,), (1, 0)], 1, 2)
 
 
+def _malformed_rows(capacity):
+    """(id, row) pairs over d = 2 that no pack may take."""
+    carry = 2 ** Lanes(2, capacity).width - 1    # fills a field: carries past its guard
+    return [
+        ("short", (0,)),
+        ("long", (0, 0, 0)),
+        ("negative", (0, -1)),
+        ("above-capacity", (capacity + 1, 0)),
+        ("float", (0, 1.0)),
+        ("fraction", (Fraction(1), 0)),
+        ("field-full-first", (carry, 0)),
+        ("field-full-last", (0, carry)),
+        ("string", ("1", 0)),
+    ]
+
+
+MALFORMED = [
+    pytest.param(2, capacity, row, id=f"{capacity.bit_length()}-bit-{name}")
+    for capacity in (1, 3, 300, 2**63 - 1, 2**100)
+    for name, row in _malformed_rows(capacity)
+]
+
+
 @pytest.mark.parametrize(
     "d, capacity, row",
-    [(2, 3, (5, 0)), (1, 3, (-2,)), (1, 3, (4,))],
-    ids=["above-capacity", "negative", "one-above-capacity"],
+    [
+        pytest.param(2, 3, (5, 0), id="above-capacity"),
+        pytest.param(1, 3, (-2,), id="negative"),
+        pytest.param(1, 3, (4,), id="one-above-capacity"),
+        *MALFORMED,
+    ],
 )
 def test_place_rejects_an_entry_outside_capacity(d, capacity, row):
+    """Packing, placing and an instance's packed rows all refuse a row that
+    is not d ints in 0..capacity, with InputError."""
+    with pytest.raises(InputError):
+        Lanes(d, capacity).pack(row)
     packer = FirstFitPacker()
     packer.start(d, capacity)
+    packer.place((0,) * d)
     with pytest.raises(InputError):
         packer.place(row)
+    with pytest.raises(InputError):
+        VbpInstance(d=d, scale=capacity, rows=((0,) * d, row)).packed
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -123,9 +159,12 @@ def test_packer_on_repeated_runs_matches_fraction_first_fit(seed):
 
 
 # Capacities at every lane width edge: 2^k - 1 fills its field's low bits,
-# 2^k needs one bit more, and 2^62 is past a machine word.
+# 2^k needs one bit more. A field holds capacity.bit_length() + 1 bits in
+# 8, 16, 32 or 64, so 2^7, 2^15, 2^31 widen it to the next byte width, and
+# from 2^63 on (here 2^63 and 2^100) rows pack by shift and sum.
+BYTE_WIDTH_EDGES = tuple(x for k in (7, 15, 31, 63) for x in (2**k - 1, 2**k))
 LANE_CAPACITIES = st.one_of(
-    st.sampled_from((1, 2**62)),
+    st.sampled_from((1, 2**62, 2**100, *BYTE_WIDTH_EDGES)),
     st.integers(1, 62).flatmap(lambda k: st.sampled_from((2**k - 1, 2**k))),
 )
 
@@ -156,6 +195,29 @@ def test_lane_fit_test_matches_fraction_sums(case):
         for subset in combinations(range(inst.n), r):
             items = [tuple(F(x, capacity) for x in rows[i]) for i in subset]
             assert fits_together(inst, subset) == fraction_fits(items, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=lane_rows())
+def test_packed_rows_equal_shift_and_sum(case):
+    d, capacity, rows = case
+    inst = VbpInstance(d=d, scale=capacity, rows=tuple(rows))
+    width = shift_pack(rows[0], capacity)[0]
+    assert inst.lanes.width == width
+    assert inst.packed == tuple(shift_pack(row, capacity)[1] for row in rows)
+
+
+@pytest.mark.parametrize(
+    "capacity, width",
+    [(1, 8), (2**7 - 1, 8), (2**7, 16), (300, 16), (2**15 - 1, 16), (2**15, 32),
+     (2**31 - 1, 32), (2**31, 64), (2**63 - 1, 64), (2**63, 65), (2**100, 102)],
+)
+def test_lane_width_is_the_narrowest_byte_width_past_capacity(capacity, width):
+    lanes = Lanes(2, capacity)
+    assert lanes.width == width
+    copied = pickle.loads(pickle.dumps(lanes))
+    assert (type(copied), copied.width, copied.guard) == (type(lanes), width, lanes.guard)
+    assert copied.pack((1, capacity)) == lanes.pack((1, capacity))
 
 
 def test_instance_requires_uniform_dimension():
@@ -290,6 +352,28 @@ def test_opt_empty_instance():
 
 def test_vbp_text_roundtrip():
     inst = make_instance(2, [(F(1, 3), F(1)), (F(0), F(5, 7))])
+    assert parse_vbp_text(format_vbp_text(inst)) == inst
+
+
+@st.composite
+def coordinate_texts(draw):
+    """(d, coordinates, text): the coordinates written as unreduced p/q tokens."""
+    d = draw(st.integers(1, 3))
+    q = st.sampled_from((1, 2, 4, 6, 7, 9, 11, 12))
+    coordinate = q.flatmap(lambda q: st.integers(0, q).map(lambda p: F(p, q)))
+    items = draw(st.lists(st.tuples(*[coordinate] * d), max_size=5))
+    k = draw(st.integers(1, 3))
+    lines = [f"vbp {len(items)} {d}"]
+    lines.extend(" ".join(f"{c.numerator * k}/{c.denominator * k}" for c in item) for item in items)
+    return d, items, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=coordinate_texts())
+def test_parsed_instance_is_make_instance_of_the_same_coordinates(case):
+    d, items, text = case
+    inst = make_instance(d, items)
+    assert parse_vbp_text(text) == inst
     assert parse_vbp_text(format_vbp_text(inst)) == inst
 
 

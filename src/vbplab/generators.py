@@ -17,7 +17,7 @@ from typing import Iterator
 from . import kernels
 from .errors import InputError, ResourceLimitError
 from .graphs import Graph, graph_from_edges, is_connected
-from .rng import Seed, make_rng
+from .rng import Seed, uniforms
 
 # The largest graph a reduction takes with one copy per vertex (n*n <= 2^24);
 # gnp, complete and crown refuse more before they build their O(n^2) pairs.
@@ -39,7 +39,7 @@ def gen_gnp(n: int, prob: float, seed: Seed) -> Graph:
     pairs = list(combinations(range(1, n + 1), 2))
     if not pairs:
         return gen_empty(n)
-    draws = make_rng(seed).random(len(pairs))
+    draws = uniforms(seed, len(pairs))
     edges = [pair for pair, x in zip(pairs, draws) if x < prob]
     return graph_from_edges(n, edges)
 

@@ -8,13 +8,15 @@ pooled color among its copies' colors; if no copy's color made the pool, B
 
 The simulation is deterministic given the seed: one uniform draw per new
 color of A, in first-use order (step order, ascending color id within a
-step), all taken by a single rng.random call. A never observes the pool, so
-B first drives A across the full arrival sequence recording a per-step
-trace, then runs the seeded pool phase over it. `_trial` is the one trial
-loop, and it draws from the generator it is given: a single run is one trial,
-on make_rng(seed), and Monte-Carlo verification runs many, over a cached
-trace when A declares itself deterministic, on one generator that
-`rng.trial_rngs` re-keys to each trial's stream. Every vertex set is a
+step), all taken by one call for k uniforms. When p = 1 every draw would
+pass (a uniform is below 1.0), so every color enters the pool and nothing
+is drawn. A never observes the pool, so B first drives A across the full
+arrival sequence recording a per-step trace, then runs the seeded pool
+phase over it. `_trial` is the one trial loop, and it draws through the
+function it is given: a single run is one trial, drawing make_rng(seed)'s
+uniforms through `rng.uniforms`, and Monte-Carlo verification runs many,
+over a cached trace when A declares itself deterministic, on one generator
+that `rng.trial_rngs` re-keys to each trial's stream. Every vertex set is a
 mask in the convention of `Graph.masks`, bit v-1 for vertex v: an arrival's
 back edges, and a color class of A (in the trace) or of B (in a trial), so
 checking a color against earlier neighbors is one AND. Every set of A's
@@ -28,12 +30,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import InputError, ProtocolError
 from .graphs import ColorId, Coloring, Graph, checked_events, events_from_graph
-from .rng import GENERATOR_NAME, SEED_DERIVATION, Seed, check_seed, make_rng, trial_rngs
+from .rng import GENERATOR_NAME, SEED_DERIVATION, Seed, check_seed, trial_rngs, uniforms
 
 _REL_TOL = 1e-12
 # Modeled trial time, in microseconds, that a worker process must get before
@@ -51,9 +54,10 @@ def special_color(step: int) -> str:
 
 
 def sampling_probability(n: int, t: int) -> float:
-    """p = min(1, 2 ln(n)/t); n = 1 is pinned to 1 so it cannot fail."""
-    if n < 1 or t < 1:
-        raise InputError("need n >= 1 and t >= 1")
+    """p = min(1, 2 ln(n)/t); n = 1 is pinned to 1 so it cannot fail. n and
+    t must be ints >= 1 (else InputError)."""
+    if not (type(n) is int and type(t) is int and n >= 1 and t >= 1):
+        raise InputError(f"need int n >= 1 and t >= 1, got n = {n!r}, t = {t!r}")
     if n == 1:
         return 1.0
     return min(1.0, 2.0 * math.log(n) / t)
@@ -131,20 +135,24 @@ def _renumber(mask: int, rank: list[int]) -> int:
     return out
 
 
-def _pool_phase(trace, p, rng) -> tuple[int, list[ColorId]]:
+def _pool_phase(trace, p, draw) -> tuple[int, list[ColorId]]:
     """B's seeded pool phase over A's recorded trace.
 
     Every color of A is seen by the step that uses it, so the whole pool is
-    drawn up front, in first-use order, and kept as a rank mask. Returns the
-    pool's size and, per step, B's color: the smallest pooled copy color (the
-    lowest set bit of pool & copy mask), or the step's special color when
-    there is none.
+    drawn up front, draw(k) giving k uniforms in first-use order, and kept
+    as a rank mask. When p >= 1 the pool is every color, with no draw.
+    Returns the pool's size and, per step, B's color: the smallest pooled
+    copy color (the lowest set bit of pool & copy mask), or the step's
+    special color when there is none.
     """
-    drawn = rng.random(len(trace.colors)) < p
-    if trace.draw_rank is not None:
-        drawn = drawn[trace.draw_rank]
-    pool = int.from_bytes(np.packbits(drawn, bitorder="little").tobytes(), "little")
     colors = trace.colors
+    if p >= 1.0:
+        pool = (1 << len(colors)) - 1
+    else:
+        drawn = draw(len(colors)) < p
+        if trace.draw_rank is not None:
+            drawn = drawn[trace.draw_rank]
+        pool = int.from_bytes(np.packbits(drawn, bitorder="little").tobytes(), "little")
     picks = []
     for step, mask in enumerate(trace.copy_masks, 1):
         hit = pool & mask
@@ -152,12 +160,12 @@ def _pool_phase(trace, p, rng) -> tuple[int, list[ColorId]]:
     return pool.bit_count(), picks
 
 
-def _trial(trace, p, rng) -> tuple[list[ColorId], tuple[int, int, int, int, bool]]:
-    """B's picks for one trial drawn from rng, and colors_B, colors_A, fails,
+def _trial(trace, p, draw) -> tuple[list[ColorId], tuple[int, int, int, int, bool]]:
+    """B's picks for one trial drawn through draw, and colors_B, colors_A, fails,
     pool size and feasibility. One pass over the picks keeps each color class
     as a vertex bitmask, so a clash with an earlier neighbor is one AND per
     step."""
-    pool_size, picks = _pool_phase(trace, p, rng)
+    pool_size, picks = _pool_phase(trace, p, draw)
     classes: dict[ColorId, int] = {}
     fails = clash = 0
     for v, (back_mask, color) in enumerate(zip(trace.back_masks, picks)):
@@ -178,19 +186,20 @@ def run_algorithm_b(
 ) -> tuple[Coloring, SimulationStats]:
     """One seeded simulation run; returns B's coloring and its statistics.
 
-    p is `sampling_probability(n, t)` = min(1, 2 ln(n)/t). The events must
-    be n back-edge masks, vertex v's with bits for earlier vertices only,
-    and the seed a nonnegative int or a SeedSequence (else InputError,
-    before A runs). The output coloring is feasible for the underlying
-    graph whenever A honors the copies-coloring protocol (violations raise
-    ProtocolError).
+    p is `sampling_probability(n, t)` = min(1, 2 ln(n)/t). n and t must be
+    ints >= 1, the events n back-edge masks, vertex v's with bits for
+    earlier vertices only, and the seed a nonnegative int or a SeedSequence
+    (else InputError, before A runs). The pool draws make_rng(seed)'s
+    uniforms through `rng.uniforms`, or none when p = 1. The output
+    coloring is feasible for the underlying graph whenever A honors the
+    copies-coloring protocol (violations raise ProtocolError).
     """
-    if n < 1 or t < 1:
-        raise InputError("need n >= 1 and t >= 1")
     p = sampling_probability(n, t)
-    rng = make_rng(seed)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = check_seed(seed)
     trace = _record_trace(n, events, algo, t)
-    picks, (colors_b, colors_a, fails, pool_size, feasible) = _trial(trace, p, rng)
+    draw = partial(uniforms, seed)
+    picks, (colors_b, colors_a, fails, pool_size, feasible) = _trial(trace, p, draw)
     coloring: Coloring = dict(enumerate(picks, 1))
     return coloring, SimulationStats(colors_a, colors_b, fails, pool_size, p, feasible)
 
@@ -214,11 +223,9 @@ def fail_probability_bound(n: int, t: int) -> FailBoundReport:
     over n steps then gives overall fail probability <= 1/n. Checked in
     floating point with relative tolerance 1e-12 (p is irrational).
     """
+    p = sampling_probability(n, t)
     if n < 2:
         raise InputError("fail bound needs n >= 2")
-    if t < 1:
-        raise InputError("need t >= 1")
-    p = sampling_probability(n, t)
     per_step = 0.0 if p >= 1.0 else math.exp(t * math.log1p(-p))
     per_limit = 1.0 / (n * n)
     union = n * per_step
@@ -254,7 +261,7 @@ def _trial_range(trace, p, master_seed, start, stop) -> list[tuple[int, int, int
     """Trials start..stop-1 over one trace, in order. Trial i reproduces
     run_algorithm_b(seed=trial_seed(master_seed, i)): it draws from one
     generator re-keyed per trial (rng.trial_rngs), not a fresh one."""
-    return [_trial(trace, p, rng)[1] for rng in trial_rngs(master_seed, start, stop)]
+    return [_trial(trace, p, rng.random)[1] for rng in trial_rngs(master_seed, start, stop)]
 
 
 def _workers(jobs: int, trials: int, n: int, t: int) -> int:
@@ -298,7 +305,7 @@ def monte_carlo_verify(
     events = events_from_graph(graph)
     if not getattr(algo, "deterministic", False):
         rows = [
-            _trial(_record_trace(n, events, algo, t), p, rng)[1]
+            _trial(_record_trace(n, events, algo, t), p, rng.random)[1]
             for rng in trial_rngs(master_seed, 0, trials)
         ]
     else:

@@ -7,6 +7,8 @@ import concurrent.futures
 import pytest
 
 from vbplab.cli import build_parser
+from vbplab.generators import gen_complete, gen_crown, gen_cycle, gen_empty, gen_gnp, gen_path
+from vbplab.rng import trial_seed
 
 
 @pytest.fixture
@@ -48,3 +50,16 @@ def command_parsers():
             for key, leaf in leaves(words + (name,), child).items()
         }
     return leaves((), build_parser())
+
+
+@pytest.fixture(scope="session")
+def simulation_corpus():
+    """Acceptance criterion 5's graphs for single runs of algorithm B: small
+    G(n, 1/2), cycles, paths, complete graphs, crowns and empty graphs."""
+    corpus = [gen_gnp(2 + i, 0.5, trial_seed(77, i)) for i in range(6)]
+    corpus += [gen_cycle(n) for n in range(3, 9)]
+    corpus += [gen_path(n) for n in range(2, 9)]
+    corpus += [gen_complete(n) for n in range(2, 7)]
+    corpus += [gen_crown(k) for k in (2, 3, 4)]
+    corpus += [gen_empty(n) for n in range(1, 5)]
+    return tuple(corpus)

@@ -15,6 +15,7 @@ from vbplab.copies import CopiesInstance
 from vbplab.graphs import Graph, is_independent_set
 from vbplab.pool import special_color
 from vbplab.ratlp import SimplexError
+from vbplab.rng import make_rng
 from vbplab.vbp import VbpInstance, fits_together
 from vbplab.verify import CheckResult
 
@@ -171,6 +172,37 @@ def naive_pool_phase(copy_colors, first_use, p, rng):
         candidates = pool.intersection(colors)
         picks.append(min(candidates) if candidates else special_color(step))
     return len(pool), picks
+
+
+def naive_greedy_copies(graph: Graph, t: int) -> list[list[int]]:
+    """First-Fit on each vertex's t copies in arrival order: per vertex, the
+    t smallest colors that no copy of an earlier neighbour took."""
+    nbrs = neighbours(graph)
+    out: list[list[int]] = []
+    for v in graph.vertices:
+        used = {c for u in nbrs[v] if u < v for c in out[u - 1]}
+        colors: list[int] = []
+        c = 0
+        while len(colors) < t:
+            if c not in used:
+                colors.append(c)
+            c += 1
+        out.append(colors)
+    return out
+
+
+def reference_run(graph: Graph, copy_colors, p, seed):
+    """A single run of algorithm B on sets, from A's copy colors per step:
+    make_rng(seed).random(k) < p pools A's k colors in first-use order, and
+    each vertex takes its lowest pooled copy color, or its step's special
+    color. Returns B's coloring and its stats as a tuple: colors_A,
+    colors_B, fails, pool size, p and whether the coloring is proper."""
+    first_use = list(dict.fromkeys(c for colors in copy_colors for c in sorted(colors)))
+    pool_size, picks = naive_pool_phase(copy_colors, first_use, p, make_rng(seed))
+    coloring = dict(enumerate(picks, 1))
+    fails = sum(isinstance(c, str) for c in picks)
+    proper = all(coloring[u] != coloring[v] for u, v in graph.edges)
+    return coloring, (len(first_use), len(set(picks)), fails, pool_size, p, proper)
 
 
 def brute_is_independent(graph: Graph, subset) -> bool:

@@ -23,16 +23,7 @@ from vbplab.copies import (
     chromatic_number_copies_exact,
 )
 from vbplab.errors import InputError
-from vbplab.generators import (
-    all_connected_graphs,
-    all_graphs,
-    gen_complete,
-    gen_crown,
-    gen_cycle,
-    gen_empty,
-    gen_gnp,
-    gen_path,
-)
+from vbplab.generators import all_connected_graphs, all_graphs, gen_crown, gen_cycle, gen_gnp
 from vbplab.graphs import (
     chromatic_number_exact,
     events_from_graph,
@@ -133,14 +124,9 @@ def test_criterion_04_copies_reduction_equivalence(capsys):
             assert opt == chi_t, f"n={inst.base.n} t={inst.t}: {opt} != {chi_t}"
 
 
-def test_criterion_05_simulation_feasibility(capsys):
+def test_criterion_05_simulation_feasibility(capsys, simulation_corpus):
     with criterion(capsys, 5, "pool simulation always yields proper colorings", 60.0):
-        corpus = [gen_gnp(2 + i, 0.5, trial_seed(77, i)) for i in range(6)]
-        corpus += [gen_cycle(n) for n in range(3, 9)]
-        corpus += [gen_path(n) for n in range(2, 9)]
-        corpus += [gen_complete(n) for n in range(2, 7)]
-        corpus += [gen_crown(k) for k in (2, 3, 4)]
-        corpus += [gen_empty(n) for n in range(1, 5)]
+        corpus = simulation_corpus
         events = [events_from_graph(g) for g in corpus]
         ts = (1, 2, 4, 8)
         infeasible = 0

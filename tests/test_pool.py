@@ -6,7 +6,7 @@ import random
 from dataclasses import astuple
 
 import pytest
-from oracles import naive_pool_phase
+from oracles import naive_greedy_copies, reference_run
 
 from vbplab import pool
 from vbplab.copies import CopiesInstance, GreedyCcp, color_class_vertices, greedy_online_ccp
@@ -21,7 +21,7 @@ from vbplab.pool import (
     special_color,
 )
 from vbplab.reductions import VbpBackedCcp, coloring_to_vbp
-from vbplab.rng import make_rng, trial_seed
+from vbplab.rng import trial_seed
 from vbplab.vbp import FirstFitPacker
 
 
@@ -44,6 +44,8 @@ def test_sampling_probability():
     assert sampling_probability(10, t) == pytest.approx(2 * math.log(10) / t, rel=1e-15)
     with pytest.raises(InputError):
         sampling_probability(0, 5)
+    with pytest.raises(InputError):
+        sampling_probability(5, 0)
 
 
 # ------------------------------------------------------------ algorithm  B
@@ -104,11 +106,26 @@ def naive_run(graph, t, p, seed):
     algo.start(graph.n, t)
     copy_colors = [algo.color_copies(v, m) for v, m in enumerate(events_from_graph(graph), 1)]
     first_use = list(dict.fromkeys(c for colors in copy_colors for c in sorted(colors)))
-    pool_size, picks = naive_pool_phase(copy_colors, first_use, p, make_rng(seed))
-    coloring = dict(enumerate(picks, 1))
-    fails = sum(isinstance(c, str) for c in picks)
-    stats = (len(first_use), len(set(picks)), fails, pool_size, p, validate_coloring(graph, coloring))
-    return coloring, stats, first_use
+    return *reference_run(graph, copy_colors, p, seed), first_use
+
+
+def test_single_runs_match_the_reference_run(simulation_corpus):
+    # t = 1 gives p = 1 on every graph, t = 8 gives p < 1 on all but the
+    # one-vertex graph; seeds alternate between ints and SeedSequences
+    seeds = [trial_seed(9001, i) if i % 2 else i for i in range(200)]
+    seen_p = set()
+    for g in simulation_corpus:
+        events = events_from_graph(g)
+        for t in (1, 2, 4, 8):
+            copy_colors = naive_greedy_copies(g, t)
+            p = 1.0 if g.n == 1 else min(1.0, 2 * math.log(g.n) / t)
+            seen_p.add(p == 1.0)
+            for seed in seeds:
+                coloring, stats = run_algorithm_b(g.n, events, GreedyCcp(), t, seed)
+                want_coloring, want_stats = reference_run(g, copy_colors, p, seed)
+                want = (want_coloring, pool.SimulationStats(*want_stats))
+                assert (coloring, stats) == want, (g.masks, t, seed)
+    assert seen_p == {True, False}
 
 
 @pytest.mark.parametrize("forced_p", [None, 0.0, 1.0], ids=["p-rule", "p0", "p1"])
@@ -433,12 +450,43 @@ def test_monte_carlo_rejects_a_seed_that_is_not_a_nonnegative_int(master_seed):
         monte_carlo_verify(gen_cycle(5), UnusedCcp(), 2, 4, master_seed)
 
 
-@pytest.mark.parametrize("seed", [1.7, True, -1])
-def test_run_algorithm_b_rejects_a_seed_that_is_not_a_nonnegative_int(seed):
-    # 1.7 and True once ran as seed 1
+@pytest.mark.parametrize(
+    "seed, t",
+    [(seed, t) for t in (8, 1) for seed in (1.7, True, -1)],
+    ids=[f"{seed}{p}" for p in ("", "-p1") for seed in (1.7, True, -1)],
+)
+def test_run_algorithm_b_rejects_a_seed_that_is_not_a_nonnegative_int(seed, t):
+    # 1.7 and True once ran as seed 1; with t = 1, p = 1 and nothing is drawn,
+    # yet the seed is still checked
     g = gen_cycle(7)
     with pytest.raises(InputError, match="seed"):
-        run_algorithm_b(g.n, events_from_graph(g), UnusedCcp(), 8, seed)
+        run_algorithm_b(g.n, events_from_graph(g), UnusedCcp(), t, seed)
+
+
+# (n, t) that are not ints >= 1: True once ran as 1, 2.5 raised a
+# ProtocolError that blamed A, and 5.0 was taken as 5
+BAD_N_T = {"t-true": (5, True), "t-float": (5, 2.5), "n-float": (5.0, 2), "n-true": (True, 2)}
+
+
+@pytest.mark.parametrize("case", BAD_N_T)
+def test_run_algorithm_b_rejects_n_and_t_that_are_not_ints(case):
+    n, t = BAD_N_T[case]
+    with pytest.raises(InputError, match="need int n >= 1 and t >= 1"):
+        run_algorithm_b(n, events_from_graph(gen_cycle(5)), UnusedCcp(), t, 1)
+    with pytest.raises(InputError, match="need int n >= 1 and t >= 1"):
+        sampling_probability(n, t)
+
+
+@pytest.mark.parametrize("t", [True, 2.5])
+def test_monte_carlo_rejects_t_that_is_not_an_int(t):
+    with pytest.raises(InputError, match="need int n >= 1 and t >= 1"):
+        monte_carlo_verify(gen_cycle(5), UnusedCcp(), t, 3, 0)
+
+
+@pytest.mark.parametrize("n, t", [(5, True), (5, 2.5), (5.0, 4)])
+def test_fail_bound_rejects_n_and_t_that_are_not_ints(n, t):
+    with pytest.raises(InputError, match="need int n >= 1 and t >= 1"):
+        fail_probability_bound(n, t)
 
 
 @pytest.mark.parametrize("trials", [True, 2.5, 0])

@@ -65,7 +65,6 @@ from .vbp import (
     first_fit_online,
     lower_bound,
     make_instance,
-    make_item,
     opt_exact,
     validate_packing,
 )

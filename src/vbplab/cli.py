@@ -362,17 +362,26 @@ _COUNT_FLAGS = {
     "--max-n": (0, "largest graph the exact coloring oracle may attempt"),
     "--max-items": (0, "largest instance the exact packing oracle may attempt"),
 }
+# verify runs no oracle under --max-n: it sizes the suite's corpora.
+_VERIFY_HELP = {
+    "--max-n": "largest graphs in the suite: enumerated and small sampled graphs on up to "
+    "min(N, 5) vertices, First-Fit samples up to min(N + 5, 10), copies instances up to "
+    "min(N, 3); every N >= 5 runs the same suite",
+}
 
 
-def _report_parser(sub, name: str, body, flags: dict, **kwargs) -> argparse.ArgumentParser:
+def _report_parser(sub, name: str, body, flags: dict, flag_help: dict | None = None,
+                   **kwargs) -> argparse.ArgumentParser:
     """The parser of a report command: --seed, --format and the report
-    `flags` its body reads, with their defaults; it runs the body under
+    `flags` its body reads, with their defaults and the help of
+    _COUNT_FLAGS unless `flag_help` gives another; it runs the body under
     _report."""
     p = sub.add_parser(name, **kwargs)
     _seed_flag(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     for flag, default in flags.items():
         least, text = _COUNT_FLAGS[flag]
+        text = (flag_help or {}).get(flag, text)
         p.add_argument(flag, type=_int_at_least(least), default=default, help=text)
     p.set_defaults(func=functools.partial(_report, body))
     return p
@@ -420,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one online algorithm")
     _instance_parsers(p_run.add_subparsers(dest="algorithm", required=True), _RUNS)
-    _report_parser(sub, "verify", *_VERIFY, help="run the invariant suite")
+    _report_parser(sub, "verify", *_VERIFY, flag_help=_VERIFY_HELP, help="run the invariant suite")
     p_bench = sub.add_parser("bench", help="measurement harness")
     _instance_parsers(p_bench.add_subparsers(dest="target", required=True), _BENCHES)
     return parser

@@ -32,7 +32,6 @@ from . import kernels
 from .errors import InputError, ResourceLimitError
 
 Row = tuple[int, ...]
-Vector = tuple[Fraction, ...]
 
 DEFAULT_EXACT_PACK_LIMIT = 14
 
@@ -50,17 +49,6 @@ def _coordinate(value) -> Fraction:
         raise InputError(f"bad coordinate: {exc}") from exc
 
 
-def make_item(coords: Sequence) -> Vector:
-    """Validated item vector; accepts ints, Fractions, or 'p/q' strings."""
-    out = []
-    for c in coords:
-        f = _coordinate(c)
-        if not 0 <= f <= 1:
-            raise InputError(f"coordinate {f} outside [0,1]")
-        out.append(f)
-    return tuple(out)
-
-
 class Lanes:
     """The packed-int bin-load form for d coordinates over one capacity,
     read only through the guard bits.
@@ -76,22 +64,13 @@ class Lanes:
     `width` is the smallest of 8, 16, 32 and 64 bits that holds
     capacity.bit_length() + 1, so a row is one unsigned machine array and
     `pack` is one C call: the array's little-endian bytes read as an int.
-    A capacity of 2^63 or more fits no array item; construction then
-    returns a `_ShiftedLanes`, whose fields are exactly
-    capacity.bit_length() + 1 bits wide and whose rows pack by shift and
-    sum. Either `pack` raises InputError on a row that is not d ints in
-    0..capacity.
+    A capacity of 2^63 or more fits no array item; its fields are then
+    exactly capacity.bit_length() + 1 bits wide and `pack` builds a row by
+    shift and sum. Either way `pack` raises InputError on a row that is not
+    d ints in 0..capacity.
     """
 
     __slots__ = ("d", "capacity", "width", "guard", "empty", "_code", "_high", "_shifts")
-
-    def __new__(cls, d: int, capacity: int):
-        if capacity.bit_length() >= max(_ARRAY_CODES):
-            cls = _ShiftedLanes
-        return super().__new__(cls)
-
-    def __getnewargs__(self):
-        return self.d, self.capacity
 
     def __init__(self, d: int, capacity: int):
         if d < 1:
@@ -102,7 +81,8 @@ class Lanes:
         self.width = next((w for w in _ARRAY_CODES if w > bits), bits + 1)
         self._code = _ARRAY_CODES.get(self.width)
         self._shifts = range(0, d * self.width, self.width)
-        ones = sum(1 << s for s in self._shifts)
+        # Bit 0 of every field, as a geometric sum: linear, not quadratic, in d.
+        ones = ((1 << d * self.width) - 1) // ((1 << self.width) - 1)
         half = 1 << (self.width - 1)
         self.guard = ones * half
         self.empty = ones * (half - 1 - capacity)
@@ -115,9 +95,18 @@ class Lanes:
         entry. An entry that fits its field but exceeds capacity sets a bit
         of `_high`, or else its guard bit once lifted by `empty`; the guard
         alone would miss an entry near 2^width, which carries into the next
-        field and clears its own guard bit."""
+        field and clears its own guard bit. Fields wider than any array
+        item take the shift-and-sum path, which compares entries with
+        capacity directly."""
         if len(row) != self.d:
             raise InputError("dimension mismatch")
+        if self._code is None:
+            try:
+                if min(row) < 0 or max(row) > self.capacity:
+                    raise InputError(f"row entry outside 0..{self.capacity}")
+                return sum([x << s for x, s in zip(row, self._shifts)])
+            except TypeError as exc:
+                raise InputError(f"row entry not an int in 0..{self.capacity}: {exc}") from exc
         try:
             lanes = array(self._code, row)
         except (OverflowError, TypeError) as exc:
@@ -128,23 +117,6 @@ class Lanes:
         if w & self._high or (self.empty + w) & self.guard:
             raise InputError(f"row entry outside 0..{self.capacity}")
         return w
-
-
-class _ShiftedLanes(Lanes):
-    """`Lanes` over a capacity of 2^63 or more, whose fields no array item holds."""
-
-    __slots__ = ()
-
-    def pack(self, row: Row) -> int:
-        """The row as one int, by shift and sum."""
-        if len(row) != self.d:
-            raise InputError("dimension mismatch")
-        try:
-            if min(row) < 0 or max(row) > self.capacity:
-                raise InputError(f"row entry outside 0..{self.capacity}")
-            return sum([x << s for x, s in zip(row, self._shifts)])
-        except TypeError as exc:
-            raise InputError(f"row entry not an int in 0..{self.capacity}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -179,26 +151,53 @@ class VbpInstance:
 
 
 def make_instance(d: int, items: Iterable[Sequence]) -> VbpInstance:
+    """The instance of these items, whose coordinates are ints, Fractions
+    or 'p/q' strings in [0,1], in arrival order.
+
+    Each distinct coordinate is read and range-checked once, in
+    first-appearance order: a reduced instance holds a handful among n*d.
+    InputError reports the first fault in this order: a coordinate that is
+    no number anywhere, then d < 1, then, item by item, a coordinate
+    outside [0,1] before a wrong dimension.
+    """
+    items = list(items)
+    try:
+        values = dict.fromkeys(chain.from_iterable(items))
+    except TypeError as exc:    # an unhashable coordinate is no number either
+        raise InputError(f"bad coordinate: {exc}") from exc
+    for c in values:
+        values[c] = _coordinate(c)
     if d < 1:
         raise InputError("dimension must be >= 1")
-    validated = []
-    for i, coords in enumerate(items):
-        item = make_item(coords)
+    outside = {c for c, f in values.items() if not 0 <= f <= 1}
+    for i, item in enumerate(items):
+        if outside and not outside.isdisjoint(item):
+            bad = next(c for c in item if c in outside)
+            raise InputError(f"coordinate {values[bad]} outside [0,1]")
         if len(item) != d:
             raise InputError(f"item {i} has dimension {len(item)}, expected {d}")
-        validated.append(item)
-    scale = math.lcm(*{c.denominator for item in validated for c in item})
-    return VbpInstance.from_rows(d, scale, [tuple(int(c * scale) for c in item) for item in validated])
+    scale = math.lcm(*{f.denominator for f in values.values()})
+    entry = {c: f.numerator * scale // f.denominator for c, f in values.items()}
+    # Already canonical: a denominator carrying scale's full power of a
+    # prime p has a numerator prime to p, so its entry is too, and the gcd
+    # of scale with the entries is 1.
+    return VbpInstance(d, scale, tuple([tuple(map(entry.__getitem__, item)) for item in items]))
 
 
 def fits_together(inst: VbpInstance, items: Iterable[int]) -> bool:
-    """True iff the items with these indices can share one bin of `inst`."""
+    """True iff the items with these indices can share one bin of `inst`;
+    InputError on an index that is not an int in 0..n-1."""
     packed, lanes = inst.packed, inst.lanes
     load = lanes.empty
-    for i in items:
-        load += packed[i]
-        if load & lanes.guard:
-            return False
+    try:
+        for i in items:
+            if i < 0:
+                raise IndexError(f"negative index {i}")
+            load += packed[i]
+            if load & lanes.guard:
+                return False
+    except (IndexError, TypeError) as exc:
+        raise InputError(f"item index not in 0..{inst.n - 1}: {exc}") from exc
     return True
 
 
@@ -362,28 +361,7 @@ def parse_vbp_text(text: str) -> VbpInstance:
     n, d = header
     if len(rows) != n:
         raise InputError(f"header declares {n} items but {len(rows)} found")
-    # Each distinct token is parsed and range-checked once (a reduced file
-    # holds a handful among n*d), in first-appearance order, so errors are
-    # reported as make_instance would: syntax first, then per item range
-    # before dimension.
-    values: dict[str, Fraction] = dict.fromkeys(chain.from_iterable(rows))
-    for tok in values:
-        values[tok] = _coordinate(tok)
-    if d < 1:
-        raise InputError("dimension must be >= 1")
-    outside = {tok for tok, f in values.items() if not 0 <= f <= 1}
-    for i, row in enumerate(rows):
-        if outside and not outside.isdisjoint(row):
-            bad = next(tok for tok in row if tok in outside)
-            raise InputError(f"coordinate {values[bad]} outside [0,1]")
-        if len(row) != d:
-            raise InputError(f"item {i} has dimension {len(row)}, expected {d}")
-    scale = math.lcm(*{f.denominator for f in values.values()})
-    entry = {tok: f.numerator * scale // f.denominator for tok, f in values.items()}
-    # Already canonical: a denominator carrying scale's full power of a
-    # prime p has a numerator prime to p, so its entry is too, and the gcd
-    # of scale with the entries is 1.
-    return VbpInstance(d, scale, tuple([tuple(map(entry.__getitem__, row)) for row in rows]))
+    return make_instance(d, rows)
 
 
 def format_vbp_text(inst: VbpInstance) -> str:

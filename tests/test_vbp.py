@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,7 +27,6 @@ from vbplab.vbp import (
     format_vbp_text,
     lower_bound,
     make_instance,
-    make_item,
     opt_exact,
     parse_vbp_text,
     validate_packing,
@@ -58,19 +58,21 @@ def random_instance(n, d, seed, denom=6):
 # ------------------------------------------------------------- items & fits
 
 
-def test_make_item_bounds():
-    assert make_item((F(1), F(0))) == (F(1), F(0))
-    with pytest.raises(InputError):
-        make_item((F(3, 2),))
-    with pytest.raises(InputError):
-        make_item((F(-1, 2),))
+def test_make_instance_bounds():
+    assert make_instance(2, [(F(1), F(0))]).rows == ((1, 0),)
+    with pytest.raises(InputError, match="^coordinate 3/2 outside"):
+        make_instance(1, [(F(3, 2),)])
+    with pytest.raises(InputError, match="^coordinate -1/2 outside"):
+        make_instance(1, [(F(-1, 2),)])
 
 
-@pytest.mark.parametrize("token", ["1/0", "x", None], ids=["zero-denominator", "not-a-number", "none"])
-def test_make_item_reports_a_bad_coordinate_as_parse_vbp_text_does(token):
+@pytest.mark.parametrize(
+    "token", ["1/0", "x", None, [1]], ids=["zero-denominator", "not-a-number", "none", "unhashable"]
+)
+def test_make_instance_reports_a_bad_coordinate_as_parse_vbp_text_does(token):
     with pytest.raises(InputError, match="^bad coordinate: ") as raised:
-        make_item([token])
-    if token is not None:  # a text token, so the file parser sees the same one
+        make_instance(1, [[token]])
+    if isinstance(token, str):  # a text token, so the file parser sees the same one
         with pytest.raises(InputError) as parsed:
             parse_vbp_text(f"vbp 1 1\n{token}\n")
         assert str(raised.value) == str(parsed.value)
@@ -79,6 +81,14 @@ def test_make_item_reports_a_bad_coordinate_as_parse_vbp_text_does(token):
 def rows_fit(rows, d, capacity):
     """fits_together on these int rows as the items of one instance."""
     return fits_together(VbpInstance(d=d, scale=capacity, rows=tuple(rows)), range(len(rows)))
+
+
+@pytest.mark.parametrize("index", [-1, -3, 3, 10, "0", 1.0, None])
+def test_fits_together_refuses_an_index_outside_the_instance(index):
+    inst = make_instance(2, [(1, 0), (1, 0), (0, 1)])
+    assert fits_together(inst, [0, 2]) and not fits_together(inst, [0, 1])
+    with pytest.raises(InputError, match="^item index not in 0..2: "):
+        fits_together(inst, [0, index])
 
 
 def test_fits_examples():
@@ -218,6 +228,15 @@ def test_lane_width_is_the_narrowest_byte_width_past_capacity(capacity, width):
     copied = pickle.loads(pickle.dumps(lanes))
     assert (type(copied), copied.width, copied.guard) == (type(lanes), width, lanes.guard)
     assert copied.pack((1, capacity)) == lanes.pack((1, capacity))
+
+
+def test_lanes_of_a_large_dimension_build_in_linear_time():
+    """An empty instance of dimension 200,000 parses and First-Fit packs it
+    at once; a mask summed field by field took seconds."""
+    start = time.perf_counter()
+    inst = parse_vbp_text("vbp 0 200000\n")
+    assert first_fit_online(inst).num_bins == 0 and inst.lanes.width == 8
+    assert time.perf_counter() - start < 1
 
 
 def test_instance_requires_uniform_dimension():
@@ -374,6 +393,43 @@ def test_parsed_instance_is_make_instance_of_the_same_coordinates(case):
     d, items, text = case
     inst = make_instance(d, items)
     assert parse_vbp_text(text) == inst
+    assert parse_vbp_text(format_vbp_text(inst)) == inst
+
+
+# Denominators 2 and the primes 2^31 - 1 and 2^61 - 1 make a 93-bit scale,
+# past every array item, so the rows take 94-bit fields and pack by shift
+# and sum.
+WIDE_DENOMINATORS = (2, 2**31 - 1, 2**61 - 1)
+
+
+@st.composite
+def wide_texts(draw):
+    """(d, coordinates, text) over every wide denominator, some items followed by their complement."""
+    d = draw(st.integers(1, 3))
+    coordinate = st.sampled_from(WIDE_DENOMINATORS).flatmap(
+        lambda q: st.integers(0, q).map(lambda p: F(p, q))
+    )
+    items = [tuple([F(1, q)] * d) for q in WIDE_DENOMINATORS]
+    for item in draw(st.lists(st.tuples(*[coordinate] * d), max_size=3)):
+        items.append(item)
+        if draw(st.booleans()):
+            items.append(tuple(1 - c for c in item))
+    lines = [f"vbp {len(items)} {d}"]
+    lines.extend(" ".join(map(str, item)) for item in items)
+    return d, items, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=wide_texts())
+def test_reader_over_a_wide_capacity_matches_fractions(case):
+    d, items, text = case
+    inst = parse_vbp_text(text)
+    assert inst.scale.bit_length() == 93 and inst.lanes.width == 94
+    assert inst == make_instance(d, items) and fraction_items(inst) == tuple(items)
+    assert [b.items for b in first_fit_online(inst).bins] == naive_first_fit(items, d)
+    for r in range(inst.n + 1):
+        for subset in combinations(range(inst.n), r):
+            assert fits_together(inst, subset) == fraction_fits([items[i] for i in subset], d)
     assert parse_vbp_text(format_vbp_text(inst)) == inst
 
 
@@ -542,6 +598,11 @@ def _syntax_message(tok: str) -> str:
     ],
 )
 def test_parser_rejects_with_the_same_messages(text, message):
+    """The file and make_instance on the same tokens give the same first error."""
     with pytest.raises(InputError) as exc:
         parse_vbp_text(text)
+    assert str(exc.value) == message
+    header, *lines = text.splitlines()
+    with pytest.raises(InputError) as exc:
+        make_instance(int(header.split()[2]), [line.split() for line in lines])
     assert str(exc.value) == message
